@@ -1,6 +1,9 @@
 """Token stream behavior: kinds, positions, literals, and failure modes."""
 
+import random
 from pathlib import Path
+
+import pytest
 
 from codesum.diagnostics import Severity
 from codesum.lexer import TokenKind, tokenize
@@ -112,3 +115,138 @@ def test_sample_file_identifier_counts():
     names = [t.text for t in tokens if t.kind is TokenKind.IDENTIFIER]
     for name, count in {"MyOval": 2, "MyShape": 1, "draw": 1, "example": 2}.items():
         assert names.count(name) == count, name
+
+
+# ----------------------------------------------------------------------
+# Exact behaviour, pinned in both modes: (kind, text, line, column) tuples
+# and rendered diagnostics.
+
+I, K, P, L = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCTUATION, TokenKind.LITERAL
+
+
+def _lex(source: str, strict: bool):
+    tokens, diagnostics = tokenize(source, "F.java", strict)
+    return [(t.kind, t.text, t.line, t.column) for t in tokens], [str(d) for d in diagnostics]
+
+
+@pytest.mark.parametrize(
+    "source, tokens",
+    [
+        # A backslash-newline inside a literal moves the next token down a line.
+        ('"a\\\nb" c', [(L, '"a\\\nb"', 1, 1), (I, "c", 2, 4)]),
+        ("'\\\nx' y", [(L, "'\\\nx'", 1, 1), (I, "y", 2, 4)]),
+        # CRLF ends a line once; a tab is one column.
+        ("a\r\n\tb\tc\r\nd", [(I, "a", 1, 1), (I, "b", 2, 2), (I, "c", 2, 4), (I, "d", 3, 1)]),
+        ("x // note\r\n/* a\r\nb */ y", [(I, "x", 1, 1), (I, "y", 3, 6)]),
+        ("0x 1e 1.x", [
+            (L, "0x", 1, 1), (L, "1", 1, 4), (I, "e", 1, 5),
+            (L, "1", 1, 7), (P, ".", 1, 8), (I, "x", 1, 9),
+        ]),
+        ("a>>>=b->c@d", [
+            (I, "a", 1, 1), (P, ">>>=", 1, 2), (I, "b", 1, 6), (P, "->", 1, 7),
+            (I, "c", 1, 9), (P, "@", 1, 10), (I, "d", 1, 11),
+        ]),
+        # Unicode: isalpha starts a name, isalnum continues it, isdigit drives numbers.
+        ("café x² ² 1² 0x٣ 1.² 1e²", [
+            (I, "café", 1, 1), (I, "x²", 1, 6), (L, "²", 1, 9), (L, "1²", 1, 11),
+            (L, "0x٣", 1, 14), (L, "1.²", 1, 18), (L, "1e²", 1, 22),
+        ]),
+    ],
+)
+def test_clean_sources_lex_identically_in_both_modes(source, tokens):
+    assert _lex(source, True) == (tokens, [])
+    assert _lex(source, False) == (tokens, [])
+
+
+def test_unterminated_string_stops_at_end_of_line_and_lenient_resumes_on_the_next():
+    source = 's = "ab\nc;'
+    head = [(I, "s", 1, 1), (P, "=", 1, 3)]
+    assert _lex(source, True) == (head, ["F.java:1:5: error: unterminated string literal"])
+    assert _lex(source, False) == (
+        head + [(I, "c", 2, 1), (P, ";", 2, 2)],
+        ["F.java:1:5: warning: unterminated string literal"],
+    )
+
+
+def test_unterminated_character_literal_resumes_on_the_next_line():
+    assert _lex("'x\nc", False) == ([(I, "c", 2, 1)], ["F.java:1:1: warning: unterminated character literal"])
+    assert _lex("'x\nc", True) == ([], ["F.java:1:1: error: unterminated character literal"])
+
+
+def test_escaped_carriage_return_does_not_escape_the_newline():
+    source = '"a\\\r\nb" c'
+    assert _lex(source, True) == ([], ["F.java:1:1: error: unterminated string literal"])
+    assert _lex(source, False) == (
+        [(I, "b", 2, 1)],
+        ["F.java:1:1: warning: unterminated string literal", "F.java:2:2: warning: unterminated string literal"],
+    )
+
+
+def test_unterminated_block_comment_is_reported_at_its_opener():
+    for strict, severity in ((True, "error"), (False, "warning")):
+        assert _lex("x /* y\nz", strict) == (
+            [(I, "x", 1, 1)],
+            [f"F.java:1:3: {severity}: unterminated block comment"],
+        )
+    assert _lex("/*/ x", False) == ([], ["F.java:1:1: warning: unterminated block comment"])
+
+
+def test_illegal_character_then_name():
+    assert _lex("#a", True) == ([], ["F.java:1:1: error: illegal character '#'"])
+    assert _lex("#a", False) == ([(I, "a", 1, 2)], ["F.java:1:1: warning: illegal character '#'"])
+
+
+def test_lone_backslash_as_the_last_character():
+    for strict, severity in ((True, "error"), (False, "warning")):
+        assert _lex("a\\", strict) == ([(I, "a", 1, 1)], [f"F.java:1:2: {severity}: illegal character '\\\\'"])
+        assert _lex('"a\\', strict) == ([], [f"F.java:1:1: {severity}: unterminated string literal"])
+
+
+def test_non_digit_numeric_character_is_illegal():
+    source = "x ½ y"
+    assert _lex(source, True) == ([(I, "x", 1, 1)], ["F.java:1:3: error: illegal character '½'"])
+    assert _lex(source, False) == (
+        [(I, "x", 1, 1), (I, "y", 1, 5)],
+        ["F.java:1:3: warning: illegal character '½'"],
+    )
+
+
+_FRAGMENTS = (
+    "class", "int", "return", "this", "a", "foo", "x1", "_$", "café", "名前", "x²",
+    "0", "12", "3.5", "1e9", "2.5e-3", "0xFF", "10L", "1.", "1e", "0x", "²", "1²", "½",
+    ">>>=", "->", "@", "(", ")", "{", "}", ";", ".", "+", "++", "/", "*", "<", "=",
+    '"', "'", '"s"', "'c'", '"\\""', "//", "/*", "*/", "\\", "\\\n", "#",
+    " ", "\t", "\n", "\r\n", "\r", "\f",
+)
+
+
+def _offset(source: str, line: int, column: int) -> int:
+    start = 0
+    for _ in range(line - 1):
+        start = source.index("\n", start) + 1
+    return start + column - 1
+
+
+def _strictly_increasing(items) -> bool:
+    positions = [(item.line, item.column) for item in items]
+    return all(a < b for a, b in zip(positions, positions[1:]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_sources_report_true_increasing_positions(seed):
+    rng = random.Random(seed)
+    clean = 0
+    for _ in range(300):
+        source = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 40)))
+        results = {strict: tokenize(source, "F.java", strict) for strict in (True, False)}
+        for tokens, diagnostics in results.values():
+            for token in tokens:
+                assert source.startswith(token.text, _offset(source, token.line, token.column)), (source, token)
+            for diagnostic in diagnostics:
+                assert _offset(source, diagnostic.line, diagnostic.column) < len(source), (source, diagnostic)
+            assert _strictly_increasing(tokens), source
+            assert _strictly_increasing(diagnostics), source
+        if not results[False][1]:
+            clean += 1
+            assert results[True] == results[False], source
+    assert clean >= 30
