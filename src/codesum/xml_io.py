@@ -176,7 +176,8 @@ def import_xml(text: str) -> tuple[CodeModel, list[Diagnostic]]:
 
     A malformed document or unknown root element yields an empty model plus
     an error diagnostic; recoverable oddities (unknown attributes or
-    elements, a parameter-count mismatch) yield warnings.
+    elements, a parameter-count mismatch) yield warnings. The model read is
+    validated like an extracted one: each violation is an error.
     """
     diagnostics: list[Diagnostic] = []
     empty = CodeModel(project_name="", packages=())
@@ -197,6 +198,7 @@ def import_xml(text: str) -> tuple[CodeModel, list[Diagnostic]]:
         for element in reader.children(root, "Packages", {"Package"})
     ]
     model = CodeModel(project_name=root.get("ProjectName", ""), packages=tuple(packages))
+    diagnostics.extend(validate_model(model))
     return model, diagnostics
 
 

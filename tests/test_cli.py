@@ -223,3 +223,30 @@ def test_custom_extension_filter(tmp_path, capsys):
     assert code == 0
     assert "classes: 1" in stderr
     assert "== class p.C ==" in (out / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_summarize_rejects_an_invalid_model_and_writes_nothing(tmp_path, capsys):
+    model = tmp_path / "model.xml"
+    model.write_text(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<Project ProjectName="demo">\n'
+        "  <Packages>\n"
+        '    <Package PackageName="p">\n'
+        "      <Classes>\n"
+        '        <Class Name="" AccessLevel="public" Superclass="" DeclaredPackage="q">\n'
+        "          <Attributes/>\n"
+        "          <Methods/>\n"
+        "        </Class>\n"
+        "      </Classes>\n"
+        "    </Package>\n"
+        "  </Packages>\n"
+        "</Project>\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(["--xml", str(model), "--out", str(out), "--stage", "summarize"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert not out.exists()
+    assert "<model>: error: p: class with empty name" in stderr
+    assert "<model>: error: p.: declared package 'q' does not match enclosing package" in stderr

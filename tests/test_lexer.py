@@ -121,7 +121,7 @@ def test_sample_file_identifier_counts():
 # Exact behaviour, pinned in both modes: (kind, text, line, column) tuples
 # and rendered diagnostics.
 
-I, K, P, L = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCTUATION, TokenKind.LITERAL
+I, P, L = TokenKind.IDENTIFIER, TokenKind.PUNCTUATION, TokenKind.LITERAL
 
 
 def _lex(source: str, strict: bool):
