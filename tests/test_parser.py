@@ -221,3 +221,54 @@ def test_parsing_is_deterministic():
     second, second_diagnostics = _parse(source)
     assert first == second
     assert first_diagnostics == second_diagnostics
+
+
+def _shape(node) -> str:
+    """An expression tree as an S-expression, so exact shapes can be compared."""
+    if isinstance(node, (syn.NameExpr, syn.LiteralExpr)):
+        return node.token.text
+    if isinstance(node, syn.BinaryExpr):
+        return f"({node.operator} {_shape(node.left)} {_shape(node.right)})"
+    if isinstance(node, syn.InstanceofExpr):
+        return f"(instanceof {_shape(node.operand)} {node.type_text})"
+    if isinstance(node, syn.AssignExpr):
+        return f"({node.operator} {_shape(node.target)} {_shape(node.value)})"
+    if isinstance(node, syn.ConditionalExpr):
+        return f"(? {_shape(node.condition)} {_shape(node.if_true)} {_shape(node.if_false)})"
+    if isinstance(node, syn.CastExpr):
+        return f"(cast {node.type_text} {_shape(node.operand)})"
+    if isinstance(node, syn.ParenExpr):
+        return f"(paren {_shape(node.inner)})"
+    if isinstance(node, syn.UnaryExpr):
+        return f"({node.operator} {_shape(node.operand)})" if node.prefix else f"(post{node.operator} {_shape(node.operand)})"
+    if isinstance(node, syn.IndexExpr):
+        return f"(index {_shape(node.array)} {_shape(node.index)})"
+    if isinstance(node, syn.FieldSelectExpr):
+        return f"(. {_shape(node.receiver)} {node.name.text})"
+    if isinstance(node, syn.CallExpr):
+        parts = [_shape(node.receiver) if node.receiver is not None else "-", node.name.text]
+        return f"(call {' '.join(parts + [_shape(argument) for argument in node.arguments])})"
+    raise AssertionError(f"unexpected node {node!r}")
+
+
+@pytest.mark.parametrize(
+    "expression, shape",
+    [
+        ("a - b - c", "(- (- a b) c)"),
+        (
+            "a || b && c | d ^ e & f == g < h << i + j * k % l",
+            "(|| a (&& b (| c (^ d (& e (== f (< g (<< h (+ i (% (* j k) l))))))))))",
+        ),
+        ("x instanceof T == y", "(== (instanceof x T) y)"),
+        ("a = b += c", "(= a (+= b c))"),
+        ("a ? b : c ? d : e", "(? a b (? c d e))"),
+        ("a ? b = c : d = e", "(= (? a (= b c) d) e)"),
+        ("(int) -x", "(cast int (- x))"),
+        ("(T) y", "(cast T y)"),
+        ("(a) + b", "(+ (paren a) b)"),
+        ("a[i].f(x)++", "(post++ (call (index a i) f x))"),
+    ],
+)
+def test_exact_expression_trees(expression, shape):
+    unit = _clean(f"class A {{ void m() {{ {expression}; }} }}")
+    assert _shape(unit.classes[0].methods[0].body.statements[0].expression) == shape
