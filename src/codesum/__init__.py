@@ -6,8 +6,8 @@ per class and per method from that model.
 """
 
 from .diagnostics import Diagnostic, Severity
-from .emitter import SummaryDocument, SummarySet, aggregate, emit, summarize_project
-from .extractor import build_model, extract_dependencies, parse_project
+from .emitter import SummaryDocument, SummarySet, aggregate, summarize_project
+from .extractor import build_model, parse_project
 from .model import (
     AccessLevel,
     AttributeAccess,
@@ -57,9 +57,7 @@ __all__ = [
     "aggregate",
     "build_model",
     "class_messages",
-    "emit",
     "export_xml",
-    "extract_dependencies",
     "import_xml",
     "lookup_class",
     "method_messages",

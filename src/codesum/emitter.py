@@ -139,18 +139,17 @@ def plan_emission(summaries: SummarySet, layout: str, out_dir: Path) -> list[tup
 
 
 def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
-    """Write planned files, creating parent directories; returns the paths."""
-    written: list[Path] = []
+    """Write planned files; returns the paths in write order.
+
+    Every parent directory is created before the first file is written, so a
+    directory that cannot be made (say, a file is in its place) fails the
+    run with nothing written.
+    """
+    for directory in dict.fromkeys(path.parent for path, _ in planned):
+        directory.mkdir(parents=True, exist_ok=True)
     for path, content in planned:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8", newline="\n")
-        written.append(path)
-    return written
-
-
-def emit(summaries: SummarySet, layout: str, out_dir: Path) -> list[Path]:
-    """Write the documents; returns the created paths in write order."""
-    return write_plan(plan_emission(summaries, layout, out_dir))
+    return [path for path, _ in planned]
 
 
 def _overloaded_method_names(summaries: SummarySet) -> set[tuple[str, str, str | None]]:

@@ -10,12 +10,18 @@ Dependency extraction walks each method body and records, in source order:
 
 Receivers resolve against locals, then parameters, then fields; unresolvable
 names degrade to the ``unknown``/``external`` sentinels rather than failing.
+
+Statements are walked recursively and in order, because a local is in scope
+only after its declaration. Expressions are walked with an explicit stack in
+any order, driven by the ``_OPERANDS`` table; their events carry positions and
+are sorted afterwards, so no chain of calls or operators costs a stack frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 from . import syntax as syn
 from .diagnostics import Diagnostic, Severity, error, warning
@@ -88,14 +94,6 @@ def analyze_method_body(
         for _, _, invocation in sorted(analysis.invocations, key=lambda item: (item[0], item[1]))
     ]
     return analysis.locals, accesses, invocations
-
-
-def extract_dependencies(
-    body: syn.BlockStmt | None, ctx: ResolutionContext
-) -> tuple[list[AttributeAccess], list[MethodInvocation]]:
-    """Accesses and invocations of one method body, in source order."""
-    _, accesses, invocations = analyze_method_body(body, ctx)
-    return accesses, invocations
 
 
 def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> None:
@@ -174,87 +172,55 @@ def _receiver_type(receiver: syn.Expr | None, ctx: ResolutionContext) -> str:
     return EXTERNAL_RECEIVER
 
 
+# Sub-expressions of each node kind that records nothing itself; kinds not
+# listed (names, literals, ``this``, ``super``) have none. A bare name that is
+# neither a receiver nor a selected field is not an attribute access.
+_OPERANDS: dict[type, Callable[[Any], Iterable[syn.Expr | None]]] = {
+    syn.ConstructorDelegationExpr: lambda expr: expr.arguments,
+    syn.NewExpr: lambda expr: expr.arguments,
+    syn.ArrayCreationExpr: lambda expr: (*expr.dimensions, expr.initializer),
+    syn.ArrayInitExpr: lambda expr: expr.values,
+    syn.IndexExpr: lambda expr: (expr.array, expr.index),
+    syn.UnaryExpr: lambda expr: (expr.operand,),
+    syn.BinaryExpr: lambda expr: (expr.left, expr.right),
+    syn.AssignExpr: lambda expr: (expr.target, expr.value),
+    syn.ConditionalExpr: lambda expr: (expr.condition, expr.if_true, expr.if_false),
+    syn.CastExpr: lambda expr: (expr.operand,),
+    syn.ParenExpr: lambda expr: (expr.inner,),
+    syn.InstanceofExpr: lambda expr: (expr.operand,),
+}
+
+
 def _walk_expression(expr: syn.Expr, ctx: ResolutionContext, out: _Analysis) -> None:
-    if isinstance(expr, (syn.LiteralExpr, syn.ThisExpr, syn.SuperExpr, syn.NameExpr)):
-        # A bare name that is neither a receiver nor a selected field is not
-        # an attribute access.
-        return
-    if isinstance(expr, syn.FieldSelectExpr):
-        receiver = expr.receiver
+    """Record the accesses and invocations in one expression."""
+    stack: list[syn.Expr | None] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, syn.FieldSelectExpr):
+            receiver = node.receiver
+            resolved = UNKNOWN_TYPE
+            if isinstance(receiver, syn.ThisExpr):
+                resolved = ctx.fields.get(node.name.text, UNKNOWN_TYPE)
+            out.accesses.append((node.name.line, node.name.column, AttributeAccess(node.name.text, resolved)))
+        elif isinstance(node, syn.CallExpr):
+            receiver = node.receiver
+            out.invocations.append(
+                (node.name.line, node.name.column, MethodInvocation(node.name.text, _receiver_type(receiver, ctx)))
+            )
+            stack.extend(node.arguments)
+        elif isinstance(node, syn.ClassLiteralExpr):
+            receiver = node.operand
+        else:
+            operands = _OPERANDS.get(type(node))
+            if operands is not None:
+                stack.extend(operands(node))
+            continue
+        # A receiver that is a simple name is an access; None (no receiver)
+        # walks to nothing.
         if isinstance(receiver, syn.NameExpr):
             _record_receiver_name(receiver.token, ctx, out)
         else:
-            _walk_expression(receiver, ctx, out)
-        if isinstance(receiver, syn.ThisExpr):
-            resolved = ctx.fields.get(expr.name.text, UNKNOWN_TYPE)
-        else:
-            resolved = UNKNOWN_TYPE
-        out.accesses.append((expr.name.line, expr.name.column, AttributeAccess(expr.name.text, resolved)))
-        return
-    if isinstance(expr, syn.CallExpr):
-        out.invocations.append(
-            (expr.name.line, expr.name.column, MethodInvocation(expr.name.text, _receiver_type(expr.receiver, ctx)))
-        )
-        if isinstance(expr.receiver, syn.NameExpr):
-            _record_receiver_name(expr.receiver.token, ctx, out)
-        elif expr.receiver is not None:
-            _walk_expression(expr.receiver, ctx, out)
-        for argument in expr.arguments:
-            _walk_expression(argument, ctx, out)
-        return
-    if isinstance(expr, syn.ConstructorDelegationExpr):
-        for argument in expr.arguments:
-            _walk_expression(argument, ctx, out)
-        return
-    if isinstance(expr, syn.NewExpr):
-        for argument in expr.arguments:
-            _walk_expression(argument, ctx, out)
-        return
-    if isinstance(expr, syn.ArrayCreationExpr):
-        for dimension in expr.dimensions:
-            _walk_expression(dimension, ctx, out)
-        if expr.initializer is not None:
-            _walk_expression(expr.initializer, ctx, out)
-        return
-    if isinstance(expr, syn.ArrayInitExpr):
-        for value in expr.values:
-            _walk_expression(value, ctx, out)
-        return
-    if isinstance(expr, syn.IndexExpr):
-        _walk_expression(expr.array, ctx, out)
-        _walk_expression(expr.index, ctx, out)
-        return
-    if isinstance(expr, syn.UnaryExpr):
-        _walk_expression(expr.operand, ctx, out)
-        return
-    if isinstance(expr, syn.BinaryExpr):
-        _walk_expression(expr.left, ctx, out)
-        _walk_expression(expr.right, ctx, out)
-        return
-    if isinstance(expr, syn.AssignExpr):
-        _walk_expression(expr.target, ctx, out)
-        _walk_expression(expr.value, ctx, out)
-        return
-    if isinstance(expr, syn.ConditionalExpr):
-        _walk_expression(expr.condition, ctx, out)
-        _walk_expression(expr.if_true, ctx, out)
-        _walk_expression(expr.if_false, ctx, out)
-        return
-    if isinstance(expr, syn.CastExpr):
-        _walk_expression(expr.operand, ctx, out)
-        return
-    if isinstance(expr, syn.ParenExpr):
-        _walk_expression(expr.inner, ctx, out)
-        return
-    if isinstance(expr, syn.InstanceofExpr):
-        _walk_expression(expr.operand, ctx, out)
-        return
-    if isinstance(expr, syn.ClassLiteralExpr):
-        if isinstance(expr.operand, syn.NameExpr):
-            _record_receiver_name(expr.operand.token, ctx, out)
-        elif expr.operand is not None:
-            _walk_expression(expr.operand, ctx, out)
-        return
+            stack.append(receiver)
 
 
 def _import_simple_names(imports: list[str]) -> set[str]:

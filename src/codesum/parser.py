@@ -5,6 +5,13 @@ single extends clause, fields, methods, and constructors with statement
 bodies. Interfaces, enums, annotations, nested classes, lambdas, and
 initializer blocks are outside the subset and are skipped with a warning.
 
+Expressions are parsed by precedence climbing over ``_BINARY_PRECEDENCE``:
+one loop per operand, recursing only for a tighter-binding right operand.
+Every construct that nests (statements, expressions, binary right operands,
+prefix operators and casts, array initializers) counts towards
+``_MAX_NESTING``; input nested deeper is a syntax problem, so no input can
+exhaust the interpreter's stack.
+
 Strict mode stops at the first syntax problem in a file; lenient mode records
 it as a warning and resumes at the next top-level declaration.
 """
@@ -37,6 +44,34 @@ _ASSIGN_OPERATORS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="]
 )
 
+_PREFIX_OPERATORS = frozenset(["+", "-", "!", "~", "++", "--"])
+
+# Binary operators and their precedence, loosest first; all are left-associative.
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "instanceof": 7,
+    "<<": 8, ">>": 8, ">>>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
+# Tokens at which a type lookahead's scan of generic arguments gives up. The
+# declaration and cast lookaheads stop at different sets; which trees come out
+# depends on both, so they are kept as they are.
+_DECLARATION_TYPE_STOPS = frozenset([";", ")", "{", "}"])
+_CAST_TYPE_STOPS = frozenset([";", "{", "}"])
+
+# Deepest nesting the parser accepts (see the module docstring). It sits well
+# above hand-written code and the generated benchmark sources (50 nested
+# parentheses), and low enough that the deepest accepted input uses about
+# 500 interpreter frames: at most five per level, for a call argument.
+_MAX_NESTING = 100
+
 
 class _ParseFailure(Exception):
     def __init__(self, message: str, line: int, column: int):
@@ -61,6 +96,7 @@ class _Parser:
         self.file = file
         self.strict = strict
         self.pos = 0
+        self.depth = 0
         self.diagnostics: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
@@ -74,6 +110,14 @@ class _Parser:
     def _peek(self, offset: int = 0) -> Token | None:
         return self._token_at(self.pos + offset)
 
+    def _is_at(self, index: int, text: str) -> bool:
+        token = self._token_at(index)
+        return token is not None and token.text == text
+
+    def _kind_at(self, index: int) -> TokenKind | None:
+        token = self._token_at(index)
+        return token.kind if token is not None else None
+
     def _at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -83,12 +127,10 @@ class _Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        token = self._peek()
-        return token is not None and token.text == text
+        return self._is_at(self.pos, text)
 
     def _check_kind(self, kind: TokenKind) -> bool:
-        token = self._peek()
-        return token is not None and token.kind is kind
+        return self._kind_at(self.pos) is kind
 
     def _match(self, text: str) -> bool:
         if self._check(text):
@@ -122,6 +164,12 @@ class _Parser:
 
     def _warn_at(self, message: str, token: Token) -> None:
         self.diagnostics.append(warning(message, self.file, token.line, token.column))
+
+    def _descend(self) -> None:
+        """Enter one nesting level; callers leave it in a ``finally`` clause."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise _ParseFailure("nesting too deep", *self._failure_position())
 
     # ------------------------------------------------------------------
     # compilation unit
@@ -237,14 +285,9 @@ class _Parser:
 
     def _parse_qualified_name(self, context: str) -> str:
         parts = [self._expect_identifier(context).text]
-        while True:
-            dot = self._peek()
-            after = self._peek(1)
-            if dot is not None and dot.text == "." and after is not None and after.kind is TokenKind.IDENTIFIER:
-                self._advance()
-                parts.append(self._advance().text)
-            else:
-                break
+        while self._check(".") and self._kind_at(self.pos + 1) is TokenKind.IDENTIFIER:
+            self.pos += 1
+            parts.append(self._advance().text)
         return ".".join(parts)
 
     def _parse_type(self, context: str) -> str:
@@ -259,15 +302,15 @@ class _Parser:
             raise self._fail(f"expected type {context}")
         if self._check("<"):
             text = self._consume_generic_arguments(text)
-        while True:
-            bracket = self._peek()
-            closing = self._peek(1)
-            if bracket is not None and bracket.text == "[" and closing is not None and closing.text == "]":
-                self.pos += 2
-                text += "[]"
-            else:
-                break
-        return text
+        return text + self._parse_dims()
+
+    def _parse_dims(self) -> str:
+        """Consume ``[]`` pairs; returns one ``[]`` per pair."""
+        dims = ""
+        while self._is_at(self.pos, "[") and self._is_at(self.pos + 1, "]"):
+            self.pos += 2
+            dims += "[]"
+        return dims
 
     def _consume_generic_arguments(self, text: str) -> str:
         depth = 0
@@ -351,13 +394,7 @@ class _Parser:
             self._advance()
             self._skip_declaration_with_body()
             return
-        next_token = self._peek(1)
-        if (
-            token.kind is TokenKind.IDENTIFIER
-            and token.text == cls.name.text
-            and next_token is not None
-            and next_token.text == "("
-        ):
+        if token.kind is TokenKind.IDENTIFIER and token.text == cls.name.text and self._is_at(self.pos + 1, "("):
             name = self._advance()
             cls.methods.append(self._parse_method(name, access, cls.name.text, is_constructor=True))
             return
@@ -373,10 +410,7 @@ class _Parser:
     ) -> None:
         name = first_name
         while True:
-            dims = ""
-            while self._check("[") and self._peek(1) is not None and self._peek(1).text == "]":  # type: ignore[union-attr]
-                self.pos += 2
-                dims += "[]"
+            dims = self._parse_dims()
             initializer = None
             if self._match("="):
                 initializer = self._parse_variable_initializer()
@@ -401,11 +435,7 @@ class _Parser:
                 self._match("final")
                 param_type = self._parse_type("for parameter")
                 param_name = self._expect_identifier("for parameter name")
-                dims = ""
-                while self._check("[") and self._peek(1) is not None and self._peek(1).text == "]":  # type: ignore[union-attr]
-                    self.pos += 2
-                    dims += "[]"
-                method.parameters.append(syn.ParamSyntax(name=param_name, type_text=param_type + dims))
+                method.parameters.append(syn.ParamSyntax(name=param_name, type_text=param_type + self._parse_dims()))
                 if not self._match(","):
                     break
         self._expect_text(")", "to close parameter list")
@@ -413,11 +443,8 @@ class _Parser:
             self._parse_qualified_name("after 'throws'")
             while self._match(","):
                 self._parse_qualified_name("in throws clause")
-        if self._match(";"):
-            return method
-        body_open = self.pos
-        method.body = self._parse_block()
-        method.body_tokens = self.tokens[body_open + 1 : self.pos - 1]
+        if not self._match(";"):
+            method.body = self._parse_block()
         return method
 
     # ------------------------------------------------------------------
@@ -437,43 +464,47 @@ class _Parser:
         token = self._peek()
         if token is None:
             raise self._fail("expected statement")
-        if token.text == "{":
-            return self._parse_block()
-        if token.text == ";":
-            self._advance()
-            return syn.EmptyStmt()
-        if token.kind is TokenKind.KEYWORD:
-            handler = {
-                "return": self._parse_return,
-                "throw": self._parse_throw,
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do_while,
-                "for": self._parse_for,
-            }.get(token.text)
-            if handler is not None:
-                return handler()
-            if token.text == "break":
+        self._descend()
+        try:
+            if token.text == "{":
+                return self._parse_block()
+            if token.text == ";":
                 self._advance()
-                self._expect_text(";", "after 'break'")
-                return syn.BreakStmt()
-            if token.text == "continue":
-                self._advance()
-                self._expect_text(";", "after 'continue'")
-                return syn.ContinueStmt()
-            if token.text == "final":
-                if self._looks_like_local_declaration(self.pos + 1):
+                return syn.EmptyStmt()
+            if token.kind is TokenKind.KEYWORD:
+                handler = {
+                    "return": self._parse_return,
+                    "throw": self._parse_throw,
+                    "if": self._parse_if,
+                    "while": self._parse_while,
+                    "do": self._parse_do_while,
+                    "for": self._parse_for,
+                }.get(token.text)
+                if handler is not None:
+                    return handler()
+                if token.text == "break":
                     self._advance()
+                    self._expect_text(";", "after 'break'")
+                    return syn.BreakStmt()
+                if token.text == "continue":
+                    self._advance()
+                    self._expect_text(";", "after 'continue'")
+                    return syn.ContinueStmt()
+                if token.text == "final":
+                    if self._looks_like_local_declaration(self.pos + 1):
+                        self._advance()
+                        return self._parse_local_declaration()
+                    raise self._fail("expected declaration after 'final'")
+                if token.text in PRIMITIVE_TYPES:
                     return self._parse_local_declaration()
-                raise self._fail("expected declaration after 'final'")
-            if token.text in PRIMITIVE_TYPES:
+                if token.text in ("this", "super", "new") or token.text in _LITERAL_KEYWORDS:
+                    return self._parse_expression_statement()
+                raise self._fail(f"unsupported statement {token.text!r}")
+            if self._looks_like_local_declaration(self.pos):
                 return self._parse_local_declaration()
-            if token.text in ("this", "super", "new") or token.text in _LITERAL_KEYWORDS:
-                return self._parse_expression_statement()
-            raise self._fail(f"unsupported statement {token.text!r}")
-        if self._looks_like_local_declaration(self.pos):
-            return self._parse_local_declaration()
-        return self._parse_expression_statement()
+            return self._parse_expression_statement()
+        finally:
+            self.depth -= 1
 
     def _parse_expression_statement(self) -> syn.ExprStmt:
         expression = self._parse_expression()
@@ -560,50 +591,52 @@ class _Parser:
         self._expect_text(")", "after for clauses")
         return syn.ForStmt(init, condition, update, self._parse_statement())
 
-    def _looks_like_local_declaration(self, index: int) -> bool:
+    def _scan_type(self, index: int, stops: frozenset[str]) -> tuple[int, bool] | None:
+        """Look ahead for a type starting at ``index`` without consuming it.
+
+        Returns the index just past the type and whether its shape (primitive,
+        generic arguments or ``[]``) rules out an expression, or None when no
+        type starts there or its generic arguments hold a token from ``stops``.
+        """
         token = self._token_at(index)
         if token is None:
-            return False
+            return None
         if token.kind is TokenKind.KEYWORD and token.text in PRIMITIVE_TYPES:
+            definite = True
             index += 1
         elif token.kind is TokenKind.IDENTIFIER:
+            definite = False
             index += 1
-            while True:
-                dot = self._token_at(index)
-                name = self._token_at(index + 1)
-                if dot is not None and dot.text == "." and name is not None and name.kind is TokenKind.IDENTIFIER:
-                    index += 2
-                else:
-                    break
-            angle = self._token_at(index)
-            if angle is not None and angle.text == "<":
+            while self._is_at(index, ".") and self._kind_at(index + 1) is TokenKind.IDENTIFIER:
+                index += 2
+            if self._is_at(index, "<"):
+                definite = True
                 depth = 0
                 while True:
                     token = self._token_at(index)
-                    if token is None:
-                        return False
+                    if token is None or token.text in stops:
+                        return None
                     if token.text == "<":
                         depth += 1
                     elif token.text in (">", ">>", ">>>"):
                         depth -= len(token.text)
                         if depth < 0:
-                            return False
-                    elif token.text in (";", ")", "{", "}"):
-                        return False
+                            return None
                     index += 1
                     if depth == 0:
                         break
         else:
+            return None
+        while self._is_at(index, "[") and self._is_at(index + 1, "]"):
+            index += 2
+            definite = True
+        return index, definite
+
+    def _looks_like_local_declaration(self, index: int) -> bool:
+        scanned = self._scan_type(index, _DECLARATION_TYPE_STOPS)
+        if scanned is None:
             return False
-        while True:
-            bracket = self._token_at(index)
-            closing = self._token_at(index + 1)
-            if bracket is not None and bracket.text == "[" and closing is not None and closing.text == "]":
-                index += 2
-            else:
-                break
-        final = self._token_at(index)
-        return final is not None and final.kind is TokenKind.IDENTIFIER
+        return self._kind_at(scanned[0]) is TokenKind.IDENTIFIER
 
     def _parse_local_declaration(self) -> syn.LocalDeclStmt:
         type_text = self._parse_type("in declaration")
@@ -616,10 +649,7 @@ class _Parser:
         declaration = syn.LocalDeclStmt(type_text=type_text, declarators=[])
         name = first_name
         while True:
-            dims = ""
-            while self._check("[") and self._peek(1) is not None and self._peek(1).text == "]":  # type: ignore[union-attr]
-                self.pos += 2
-                dims += "[]"
+            dims = self._parse_dims()
             initializer = None
             if self._match("="):
                 initializer = self._parse_variable_initializer()
@@ -636,133 +666,85 @@ class _Parser:
 
     def _parse_array_initializer(self) -> syn.ArrayInitExpr:
         self._expect_text("{", "to open array initializer")
-        values: list[syn.Expr] = []
-        while not self._check("}"):
-            if self._at_end():
-                raise self._fail("unexpected end of file in array initializer")
-            values.append(self._parse_variable_initializer())
-            if not self._match(","):
-                break
-        self._expect_text("}", "to close array initializer")
-        return syn.ArrayInitExpr(values)
+        self._descend()
+        try:
+            values: list[syn.Expr] = []
+            while not self._check("}"):
+                if self._at_end():
+                    raise self._fail("unexpected end of file in array initializer")
+                values.append(self._parse_variable_initializer())
+                if not self._match(","):
+                    break
+            self._expect_text("}", "to close array initializer")
+            return syn.ArrayInitExpr(values)
+        finally:
+            self.depth -= 1
 
     # ------------------------------------------------------------------
     # expressions
 
-    def _parse_expression(self) -> syn.Expr:
-        return self._parse_assignment()
+    def _parse_expression(self, assignment: bool = True) -> syn.Expr:
+        """A conditional expression, or an assignment to one (right-associative).
 
-    def _parse_assignment(self) -> syn.Expr:
-        target = self._parse_conditional()
-        token = self._peek()
-        if token is not None and token.text in _ASSIGN_OPERATORS:
-            operator = self._advance().text
-            value = self._parse_assignment()
-            return syn.AssignExpr(target, operator, value)
-        return target
+        The false branch of ``?:`` takes no assignment, so ``a ? b : c = d``
+        assigns to the whole conditional.
+        """
+        self._descend()
+        try:
+            expression = self._parse_binary(1)
+            if self._match("?"):
+                if_true = self._parse_expression()
+                self._expect_text(":", "in conditional expression")
+                expression = syn.ConditionalExpr(expression, if_true, self._parse_expression(assignment=False))
+            token = self._peek()
+            if assignment and token is not None and token.text in _ASSIGN_OPERATORS:
+                self._advance()
+                expression = syn.AssignExpr(expression, token.text, self._parse_expression())
+            return expression
+        finally:
+            self.depth -= 1
 
-    def _parse_conditional(self) -> syn.Expr:
-        condition = self._parse_binary(0)
-        if self._match("?"):
-            if_true = self._parse_expression()
-            self._expect_text(":", "in conditional expression")
-            if_false = self._parse_conditional()
-            return syn.ConditionalExpr(condition, if_true, if_false)
-        return condition
-
-    _BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "instanceof"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _parse_binary(self, level: int) -> syn.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        operators = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_precedence: int) -> syn.Expr:
+        """Precedence climbing over operators binding at least ``min_precedence``."""
+        left = self._parse_unary()
         while True:
             token = self._peek()
-            if token is None or token.text not in operators:
+            precedence = _BINARY_PRECEDENCE.get(token.text, 0) if token is not None else 0
+            if precedence < min_precedence:
                 return left
+            self._advance()
             if token.text == "instanceof":
-                self._advance()
                 left = syn.InstanceofExpr(left, self._parse_type("after 'instanceof'"))
                 continue
-            operator = self._advance().text
-            right = self._parse_binary(level + 1)
-            left = syn.BinaryExpr(operator, left, right)
+            self._descend()
+            try:
+                left = syn.BinaryExpr(token.text, left, self._parse_binary(precedence + 1))
+            finally:
+                self.depth -= 1
 
     def _parse_unary(self) -> syn.Expr:
         token = self._peek()
-        if token is not None and token.text in ("+", "-", "!", "~", "++", "--"):
-            operator = self._advance().text
-            return syn.UnaryExpr(operator, self._parse_unary())
-        if token is not None and token.text == "(" and self._looks_like_cast():
-            self._advance()
-            type_text = self._parse_type("in cast")
+        if token is None or not (token.text in _PREFIX_OPERATORS or (token.text == "(" and self._looks_like_cast())):
+            return self._parse_postfix(self._parse_primary())
+        self._advance()
+        cast_type = None
+        if token.text == "(":
+            cast_type = self._parse_type("in cast")
             self._expect_text(")", "after cast type")
-            return syn.CastExpr(type_text, self._parse_unary())
-        return self._parse_postfix(self._parse_primary())
+        self._descend()
+        try:
+            operand = self._parse_unary()
+        finally:
+            self.depth -= 1
+        return syn.UnaryExpr(token.text, operand) if cast_type is None else syn.CastExpr(cast_type, operand)
 
     def _looks_like_cast(self) -> bool:
-        index = self.pos + 1
-        token = self._token_at(index)
-        if token is None:
+        scanned = self._scan_type(self.pos + 1, _CAST_TYPE_STOPS)
+        if scanned is None:
             return False
-        definite = False
-        if token.kind is TokenKind.KEYWORD and token.text in PRIMITIVE_TYPES:
-            definite = True
-            index += 1
-        elif token.kind is TokenKind.IDENTIFIER:
-            index += 1
-            while True:
-                dot = self._token_at(index)
-                name = self._token_at(index + 1)
-                if dot is not None and dot.text == "." and name is not None and name.kind is TokenKind.IDENTIFIER:
-                    index += 2
-                else:
-                    break
-            angle = self._token_at(index)
-            if angle is not None and angle.text == "<":
-                depth = 0
-                while True:
-                    token = self._token_at(index)
-                    if token is None:
-                        return False
-                    if token.text == "<":
-                        depth += 1
-                    elif token.text in (">", ">>", ">>>"):
-                        depth -= len(token.text)
-                        if depth < 0:
-                            return False
-                    elif token.text in (";", "{", "}"):
-                        return False
-                    index += 1
-                    if depth == 0:
-                        break
-                definite = True
-        else:
-            return False
-        while True:
-            bracket = self._token_at(index)
-            closing = self._token_at(index + 1)
-            if bracket is not None and bracket.text == "[" and closing is not None and closing.text == "]":
-                index += 2
-                definite = True
-            else:
-                break
-        if self._token_at(index) is None or self._token_at(index).text != ")":  # type: ignore[union-attr]
-            return False
+        index, definite = scanned
         operand = self._token_at(index + 1)
-        if operand is None:
+        if not self._is_at(index, ")") or operand is None:
             return False
         if definite:
             return True
@@ -838,10 +820,9 @@ class _Parser:
             if token is None:
                 return expression
             if token.text == ".":
-                after = self._peek(1)
-                if after is not None and after.text == "class":
+                if self._is_at(self.pos + 1, "class"):
+                    expression = syn.ClassLiteralExpr(expression, self.tokens[self.pos + 1])
                     self.pos += 2
-                    expression = syn.ClassLiteralExpr(expression, after)
                     continue
                 self._advance()
                 name = self._expect_identifier("after '.'")

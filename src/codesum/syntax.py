@@ -251,9 +251,6 @@ class MethodSyntax:
     is_constructor: bool
     parameters: list[ParamSyntax] = field(default_factory=list)
     body: BlockStmt | None = None
-    # Body token slice (inside the braces); kept so call sites can be
-    # recounted independently of the extraction walk.
-    body_tokens: list[Token] = field(default_factory=list)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Batch front end: stages, exit codes, reports, and failure handling."""
 
+import re
+
 import pytest
 
 from codesum import cli
@@ -250,3 +252,77 @@ def test_summarize_rejects_an_invalid_model_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
     assert "<model>: error: p: class with empty name" in stderr
     assert "<model>: error: p.: declared package 'q' does not match enclosing package" in stderr
+
+
+def test_unwritable_summary_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "methods").write_text("in the way", encoding="utf-8")
+    code, _, stderr = _run(["--in", DRAWING, "--out", str(out), "--layout", "per-identifier"], capsys)
+    assert code == 1
+    assert "error" in stderr
+    assert not (out / "model.xml").exists()
+    assert [path for path in out.rglob("*") if path.is_file()] == [out / "methods"]
+
+
+def _probe_project(root, statement):
+    source = root / "src"
+    source.mkdir()
+    (source / "Probe.java").write_text(
+        f"package probe;\n\npublic class Probe {{\n    int x;\n    int[] a;\n    String s;\n\n"
+        f"    void m() {{\n        {statement}\n    }}\n}}\n",
+        encoding="utf-8",
+    )
+    return source
+
+
+# Each shape nests one construct 3,000 levels deep, far past the parser's
+# nesting limit and past where recursion would exhaust the interpreter stack.
+DEEP_SHAPES = {
+    "parentheses": lambda n: "int v = " + "(" * n + "x" + ")" * n + ";",
+    "calls": lambda n: "int v = " + "f(" * n + "x" + ")" * n + ";",
+    "index": lambda n: "int v = " + "a[" * n + "0" + "]" * n + ";",
+    "prefix-operators": lambda n: "boolean v = " + "!" * n + "x;",
+    "casts": lambda n: "int v = " + "(int) " * n + "x;",
+    "conditionals": lambda n: "int v = " + "x ? x : " * n + "x;",
+    "assignments": lambda n: "x = " * n + "x;",
+    "blocks": lambda n: "{" * n + "}" * n,
+    "ifs": lambda n: "if (x) " * n + "x = 1;",
+    "array-initializers": lambda n: "int[] v = " + "{" * n + "}" * n + ";",
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_nesting_is_a_diagnostic_not_a_crash(shape, mode, tmp_path, capsys):
+    source = _probe_project(tmp_path, DEEP_SHAPES[shape](3000))
+    out = tmp_path / "out"
+    code, _, stderr = _run(["--in", str(source), "--out", str(out), "--mode", mode], capsys)
+    severity = "error" if mode == "strict" else "warning"
+    assert re.search(rf"Probe\.java:\d+:\d+: {severity}: nesting too deep", stderr), stderr
+    if mode == "strict":
+        assert code == 1
+        assert not out.exists()
+    else:
+        assert code == 0
+
+
+# The shapes that crashed the whole run before expressions were parsed by
+# precedence climbing and walked with an explicit stack.
+LONG_SHAPES = {
+    "nested-parentheses-80": "int v = " + "(" * 80 + "x" + ")" * 80 + ";",
+    "operator-chain-1200": "int v = " + "+".join(["x"] * 1200) + ";",
+    "call-chain-1500": "s" + ".a()" * 1500 + ";",
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("shape", sorted(LONG_SHAPES))
+def test_long_chains_and_nesting_within_the_limit_are_extracted(shape, mode, tmp_path, capsys):
+    source = _probe_project(tmp_path, LONG_SHAPES[shape])
+    out = tmp_path / "out"
+    code, _, stderr = _run(["--in", str(source), "--out", str(out), "--mode", mode, "--stage", "extract"], capsys)
+    assert code == 0
+    assert "warnings: 0" in stderr
+    assert "methods: 1" in stderr
+    assert (out / "model.xml").is_file()

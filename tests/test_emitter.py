@@ -2,7 +2,7 @@
 
 import pytest
 
-from codesum.emitter import COMBINED, PER_IDENTIFIER, aggregate, emit, summarize_project
+from codesum.emitter import COMBINED, PER_IDENTIFIER, aggregate, plan_emission, summarize_project, write_plan
 from codesum.model import (
     AccessLevel,
     ClassDecl,
@@ -55,7 +55,7 @@ def test_documents_follow_model_order_class_then_its_methods(drawing_shapes_mode
 
 def test_combined_layout_format(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
-    paths = emit(summaries, COMBINED, tmp_path)
+    paths = write_plan(plan_emission(summaries, COMBINED, tmp_path))
     assert paths == [tmp_path / "summary.txt"]
     content = paths[0].read_text(encoding="utf-8")
     assert content.startswith("== class coreElements.MyLine ==\n")
@@ -67,13 +67,13 @@ def test_combined_layout_format(drawing_shapes_model, tmp_path):
 
 def test_combined_layout_with_no_documents_writes_an_empty_file(tmp_path):
     summaries = summarize_project(CodeModel("empty", ()), CONFIG)
-    emit(summaries, COMBINED, tmp_path)
+    write_plan(plan_emission(summaries, COMBINED, tmp_path))
     assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == ""
 
 
 def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
-    paths = emit(summaries, PER_IDENTIFIER, tmp_path)
+    paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
     relative = sorted(p.relative_to(tmp_path).as_posix() for p in paths)
     assert relative == [
         "classes/coreElements.MyLine.txt",
@@ -94,7 +94,8 @@ def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
         "methods/mainPackage.drawingShapes.drawingShapes.txt",
         "methods/mainPackage.drawingShapes.main.txt",
     ]
-    by_path = {path: document for path, document in zip(emit(summaries, PER_IDENTIFIER, tmp_path), summaries)}
+    paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
+    by_path = {path: document for path, document in zip(paths, summaries)}
     for path, document in by_path.items():
         assert path.read_text(encoding="utf-8") == document.body + "\n"
 
@@ -117,14 +118,14 @@ def _overload_model(parameter_types_by_index):
 def test_overloaded_methods_get_parameter_type_suffixes(tmp_path):
     model = _overload_model([(), ("int",), ("int", "String[]")])
     summaries = summarize_project(model, CONFIG)
-    paths = emit(summaries, PER_IDENTIFIER, tmp_path)
+    paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
     names = sorted(p.name for p in paths if "methods" in p.parts)
     assert names == ["p.C.foo.txt", "p.C.foo_int.txt", "p.C.foo_int_String--.txt"]
 
 
 def test_unique_methods_get_no_suffix(tmp_path):
     model = _overload_model([("int", "char")])
-    paths = emit(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path)
+    paths = write_plan(plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path))
     method_files = [p.name for p in paths if p.parent.name == "methods"]
     assert method_files == ["p.C.foo.txt"]
 
@@ -132,7 +133,7 @@ def test_unique_methods_get_no_suffix(tmp_path):
 def test_identical_signatures_collide_with_an_error(tmp_path):
     model = _overload_model([("int",), ("int",)])
     with pytest.raises(ValueError, match="collision"):
-        emit(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path)
+        write_plan(plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path))
     # Nothing may be left behind when planning fails.
     assert list(tmp_path.iterdir()) == []
 
@@ -140,7 +141,7 @@ def test_identical_signatures_collide_with_an_error(tmp_path):
 def test_file_names_sanitize_markup_characters(tmp_path):
     cls = ClassDecl(name="List<String>", access_level=AccessLevel.PUBLIC, declared_package="p")
     model = CodeModel("demo", (PackageDecl("p", (cls,)),))
-    paths = emit(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path)
+    paths = write_plan(plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path))
     assert [p.name for p in paths] == ["p.List-String-.txt"]
 
 
@@ -148,6 +149,6 @@ def test_emit_is_deterministic(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
     first = tmp_path / "first"
     second = tmp_path / "second"
-    emit(summaries, COMBINED, first)
-    emit(summaries, COMBINED, second)
+    write_plan(plan_emission(summaries, COMBINED, first))
+    write_plan(plan_emission(summaries, COMBINED, second))
     assert (first / "summary.txt").read_bytes() == (second / "summary.txt").read_bytes()

@@ -269,26 +269,46 @@ def _scan_call_count(tokens):
     return count
 
 
+def _body_tokens(tokens, name):
+    # The tokens between a method's braces, found from its name token: the
+    # first "{" after the name opens the body unless a ";" ends the
+    # declaration first; the body ends at the matching "}".
+    index = tokens.index(name)
+    while tokens[index].text not in ("{", ";"):
+        index += 1
+    if tokens[index].text == ";":
+        return []
+    start, depth = index + 1, 0
+    for index in range(index, len(tokens)):
+        depth += {"{": 1, "}": -1}.get(tokens[index].text, 0)
+        if depth == 0:
+            return tokens[start:index]
+    raise AssertionError(f"unclosed body of {name.text!r}")
+
+
 @pytest.mark.parametrize("project", ["drawing-shapes", "nanoxml-like", "argouml-like"])
 def test_invocation_counts_match_an_independent_token_scan(project):
     units = []
+    unit_tokens = []
     for path in discover_source_files(FIXTURES / project):
         tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), path.as_posix())
         assert not has_errors(lex_diagnostics)
         unit, diagnostics = parse_compilation_unit(tokens, path.as_posix())
         assert unit is not None and not has_errors(diagnostics)
         units.append(unit)
+        unit_tokens.append(tokens)
     model, diagnostics = build_model(units, project)
     assert not has_errors(diagnostics)
     checked = 0
-    for unit in units:
+    for unit, tokens in zip(units, unit_tokens):
         package = unit.package if unit.package is not None else DEFAULT_PACKAGE
         for class_syntax in unit.classes:
             declared = lookup_class(model, package, class_syntax.name.text)
             assert declared is not None
             for method_syntax, method in zip(class_syntax.methods, declared.methods):
                 assert method_syntax.name.text == method.name
-                assert _scan_call_count(method_syntax.body_tokens) == len(method.method_invocations)
+                body = _body_tokens(tokens, method_syntax.name)
+                assert _scan_call_count(body) == len(method.method_invocations)
                 checked += 1
     assert checked > 0
 

@@ -78,13 +78,6 @@ def test_throws_clause_and_bodiless_method():
     unit = _clean("abstract class A { abstract void m() throws java.io.IOException, Error; }")
     method = unit.classes[0].methods[0]
     assert method.body is None
-    assert method.body_tokens == []
-
-
-def test_body_tokens_cover_the_braced_body():
-    unit = _clean("class A { void m() { int x = 1; } }")
-    method = unit.classes[0].methods[0]
-    assert [t.text for t in method.body_tokens] == ["int", "x", "=", "1", ";"]
 
 
 def test_statement_shapes():
