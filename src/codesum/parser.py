@@ -403,25 +403,12 @@ class _Parser:
         if self._check("("):
             cls.methods.append(self._parse_method(name, access, type_text, is_constructor=False))
         else:
-            self._parse_field_declarators(cls, name, access, type_text)
-
-    def _parse_field_declarators(
-        self, cls: syn.ClassSyntax, first_name: Token, access: AccessLevel, type_text: str
-    ) -> None:
-        name = first_name
-        while True:
-            dims = self._parse_dims()
-            initializer = None
-            if self._match("="):
-                initializer = self._parse_variable_initializer()
-            cls.fields.append(
-                syn.FieldSyntax(name=name, access_level=access, type_text=type_text + dims, initializer=initializer)
-            )
-            if self._match(","):
-                name = self._expect_identifier("after ',' in field declaration")
-                continue
+            declaration = self._parse_declarator_list(type_text, name, "field declaration")
             self._expect_text(";", "after field declaration")
-            return
+            for declarator in declaration.declarators:
+                cls.fields.append(
+                    syn.FieldSyntax(declarator.name, access, type_text + declarator.extra_dims, declarator.initializer)
+                )
 
     def _parse_method(
         self, name: Token, access: AccessLevel, return_type: str, is_constructor: bool
@@ -645,7 +632,9 @@ class _Parser:
         self._expect_text(";", "after declaration")
         return declaration
 
-    def _parse_declarator_list(self, type_text: str, first_name: Token) -> syn.LocalDeclStmt:
+    def _parse_declarator_list(
+        self, type_text: str, first_name: Token, context: str = "declaration"
+    ) -> syn.LocalDeclStmt:
         declaration = syn.LocalDeclStmt(type_text=type_text, declarators=[])
         name = first_name
         while True:
@@ -655,7 +644,7 @@ class _Parser:
                 initializer = self._parse_variable_initializer()
             declaration.declarators.append(syn.Declarator(name=name, initializer=initializer, extra_dims=dims))
             if self._match(","):
-                name = self._expect_identifier("after ',' in declaration")
+                name = self._expect_identifier(f"after ',' in {context}")
                 continue
             return declaration
 
