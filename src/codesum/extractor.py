@@ -12,9 +12,10 @@ Receivers resolve against locals, then parameters, then fields; unresolvable
 names degrade to the ``unknown``/``external`` sentinels rather than failing.
 
 Statements are walked recursively and in order, because a local is in scope
-only after its declaration. Expressions are walked with an explicit stack in
-any order, driven by the ``_OPERANDS`` table; their events carry positions and
-are sorted afterwards, so no chain of calls or operators costs a stack frame.
+only after its declaration; an ``else if`` chain is walked in a loop.
+Expressions are walked with an explicit stack in any order, driven by the
+``_OPERANDS`` table; their events carry positions and are sorted afterwards,
+so no chain of calls or operators costs a stack frame.
 """
 
 from __future__ import annotations
@@ -116,10 +117,13 @@ def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> N
     elif isinstance(stmt, syn.ThrowStmt):
         _walk_expression(stmt.value, ctx, out)
     elif isinstance(stmt, syn.IfStmt):
-        _walk_expression(stmt.condition, ctx, out)
-        _walk_statement(stmt.then_branch, ctx, out)
-        if stmt.else_branch is not None:
-            _walk_statement(stmt.else_branch, ctx, out)
+        # An else-if chain is walked in a loop, so its length costs no stack.
+        while isinstance(stmt, syn.IfStmt):
+            _walk_expression(stmt.condition, ctx, out)
+            _walk_statement(stmt.then_branch, ctx, out)
+            stmt = stmt.else_branch
+        if stmt is not None:
+            _walk_statement(stmt, ctx, out)
     elif isinstance(stmt, syn.WhileStmt):
         _walk_expression(stmt.condition, ctx, out)
         _walk_statement(stmt.body, ctx, out)
@@ -243,7 +247,6 @@ def build_model(
     diagnostics: list[Diagnostic] = []
     model_class_names = {cls.name.text for unit in units for cls in unit.classes}
 
-    package_order: list[str] = []
     package_classes: dict[str, list[ClassDecl]] = {}
     seen_classes: set[tuple[str, str]] = set()
 
@@ -264,14 +267,11 @@ def build_model(
                 continue
             seen_classes.add(key)
             declared = _build_class(cls, package_name, known_types, unit.file, diagnostics)
-            if package_name not in package_classes:
-                package_order.append(package_name)
-                package_classes[package_name] = []
-            package_classes[package_name].append(declared)
+            package_classes.setdefault(package_name, []).append(declared)
 
     model = CodeModel(
         project_name=project_name,
-        packages=tuple(PackageDecl(name, tuple(package_classes[name])) for name in package_order),
+        packages=tuple(PackageDecl(name, tuple(classes)) for name, classes in package_classes.items()),
     )
     diagnostics.extend(validate_model(model))
     return model, diagnostics

@@ -7,10 +7,12 @@ initializer blocks are outside the subset and are skipped with a warning.
 
 Expressions are parsed by precedence climbing over ``_BINARY_PRECEDENCE``:
 one loop per operand, recursing only for a tighter-binding right operand.
-Every construct that nests (statements, expressions, binary right operands,
-prefix operators and casts, array initializers) counts towards
-``_MAX_NESTING``; input nested deeper is a syntax problem, so no input can
-exhaust the interpreter's stack.
+Chains are read in loops and folded afterwards, so their length costs no
+stack: prefix operators and casts, assignments, the false branches of ``?:``
+and ``else if`` arms. Every construct that nests (statements within
+statements, expressions within expressions, binary right operands, array
+initializers) counts towards ``_MAX_NESTING``; input nested deeper is a syntax
+problem, so no input can exhaust the interpreter's stack.
 
 Strict mode stops at the first syntax problem in a file; lenient mode records
 it as a warning and resumes at the next top-level declaration.
@@ -29,8 +31,8 @@ _ACCESS_KEYWORDS = {
     "protected": AccessLevel.PROTECTED,
 }
 
-_OTHER_MODIFIERS = frozenset(
-    ["static", "final", "abstract", "native", "synchronized", "transient", "volatile", "strictfp"]
+_MODIFIERS = frozenset(
+    [*_ACCESS_KEYWORDS, "static", "final", "abstract", "native", "synchronized", "transient", "volatile", "strictfp"]
 )
 
 # Tokens that can open a top-level declaration; used for lenient-mode recovery.
@@ -47,6 +49,8 @@ _ASSIGN_OPERATORS = frozenset(
 _PREFIX_OPERATORS = frozenset(["+", "-", "!", "~", "++", "--"])
 
 # Binary operators and their precedence, loosest first; all are left-associative.
+# A type operand (after ``instanceof``) is followed by no operator binding
+# tighter than its own level.
 _BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
@@ -69,8 +73,9 @@ _CAST_TYPE_STOPS = frozenset([";", "{", "}"])
 # Deepest nesting the parser accepts (see the module docstring). It sits well
 # above hand-written code and the generated benchmark sources (50 nested
 # parentheses), and low enough that the deepest accepted input uses about
-# 500 interpreter frames: at most five per level, for a call argument.
+# 600 interpreter frames: at most six per level, for a constructor argument.
 _MAX_NESTING = 100
+_INSTANCEOF_PRECEDENCE = _BINARY_PRECEDENCE["instanceof"]
 
 
 class _ParseFailure(Exception):
@@ -97,6 +102,8 @@ class _Parser:
         self.strict = strict
         self.pos = 0
         self.depth = 0
+        # Token index just past the type operand of the latest ``instanceof``.
+        self.type_operand_end = -1
         self.diagnostics: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
@@ -129,9 +136,6 @@ class _Parser:
     def _check(self, text: str) -> bool:
         return self._is_at(self.pos, text)
 
-    def _check_kind(self, kind: TokenKind) -> bool:
-        return self._kind_at(self.pos) is kind
-
     def _match(self, text: str) -> bool:
         if self._check(text):
             self.pos += 1
@@ -158,18 +162,22 @@ class _Parser:
         return self._advance()
 
     def _expect_identifier(self, context: str) -> Token:
-        if not self._check_kind(TokenKind.IDENTIFIER):
+        if self._kind_at(self.pos) is not TokenKind.IDENTIFIER:
             raise self._fail(f"expected identifier {context}")
         return self._advance()
 
     def _warn_at(self, message: str, token: Token) -> None:
         self.diagnostics.append(warning(message, self.file, token.line, token.column))
 
-    def _descend(self) -> None:
-        """Enter one nesting level; callers leave it in a ``finally`` clause."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
+    def __enter__(self) -> None:
+        """``with self:`` spans one nesting level; the level past ``_MAX_NESTING``
+        fails at the current token."""
+        if self.depth == _MAX_NESTING:
             raise _ParseFailure("nesting too deep", *self._failure_position())
+        self.depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.depth -= 1
 
     # ------------------------------------------------------------------
     # compilation unit
@@ -269,18 +277,12 @@ class _Parser:
 
     def _parse_modifiers(self) -> AccessLevel:
         access: AccessLevel | None = None
-        while True:
+        token = self._peek()
+        while token is not None and token.text in _MODIFIERS:
+            if access is None:
+                access = _ACCESS_KEYWORDS.get(token.text)
+            self._advance()
             token = self._peek()
-            if token is None or token.kind is not TokenKind.KEYWORD:
-                break
-            if token.text in _ACCESS_KEYWORDS:
-                if access is None:
-                    access = _ACCESS_KEYWORDS[token.text]
-                self._advance()
-            elif token.text in _OTHER_MODIFIERS:
-                self._advance()
-            else:
-                break
         return access if access is not None else AccessLevel.PACKAGE_PRIVATE
 
     def _parse_qualified_name(self, context: str) -> str:
@@ -313,21 +315,38 @@ class _Parser:
         return dims
 
     def _consume_generic_arguments(self, text: str) -> str:
-        depth = 0
-        while True:
-            token = self._peek()
-            if token is None:
-                raise self._fail("expected '>' closing generic arguments")
-            if token.text == "<":
-                depth += 1
-            elif token.text in (">", ">>", ">>>"):
-                depth -= len(token.text)
-                if depth < 0:
-                    raise self._fail("unbalanced '>' in generic arguments")
+        end, closed = self._scan_generic_arguments(self.pos, frozenset())
+        if not closed:
+            self.pos = end
+            problem = "expected '>' closing" if self._at_end() else "unbalanced '>' in"
+            raise self._fail(f"{problem} generic arguments")
+        for token in self.tokens[self.pos:end]:
             text = _append_type_text(text, token)
-            self._advance()
+        self.pos = end
+        return text
+
+    def _scan_generic_arguments(self, index: int, stops: frozenset[str]) -> tuple[int, bool]:
+        """Look ahead over generic arguments opening at ``index``.
+
+        Returns the index just past them and True, or the index where they
+        break off (end of file, a token in ``stops``, an unbalanced ``>``)
+        and False.
+        """
+        depth = 0
+        while index < len(self.tokens):
+            text = self.tokens[index].text
+            if text in stops:
+                break
+            if text == "<":
+                depth += 1
+            elif text in (">", ">>", ">>>"):
+                depth -= len(text)
+                if depth < 0:
+                    break
+            index += 1
             if depth == 0:
-                return text
+                return index, True
+        return index, False
 
     def _skip_balanced(self, opener: str, closer: str) -> None:
         open_token = self._expect_text(opener, "")
@@ -451,8 +470,7 @@ class _Parser:
         token = self._peek()
         if token is None:
             raise self._fail("expected statement")
-        self._descend()
-        try:
+        with self:
             if token.text == "{":
                 return self._parse_block()
             if token.text == ";":
@@ -469,14 +487,10 @@ class _Parser:
                 }.get(token.text)
                 if handler is not None:
                     return handler()
-                if token.text == "break":
+                if token.text in ("break", "continue"):
                     self._advance()
-                    self._expect_text(";", "after 'break'")
-                    return syn.BreakStmt()
-                if token.text == "continue":
-                    self._advance()
-                    self._expect_text(";", "after 'continue'")
-                    return syn.ContinueStmt()
+                    self._expect_text(";", f"after {token.text!r}")
+                    return syn.BreakStmt() if token.text == "break" else syn.ContinueStmt()
                 if token.text == "final":
                     if self._looks_like_local_declaration(self.pos + 1):
                         self._advance()
@@ -490,8 +504,6 @@ class _Parser:
             if self._looks_like_local_declaration(self.pos):
                 return self._parse_local_declaration()
             return self._parse_expression_statement()
-        finally:
-            self.depth -= 1
 
     def _parse_expression_statement(self) -> syn.ExprStmt:
         expression = self._parse_expression()
@@ -500,9 +512,7 @@ class _Parser:
 
     def _parse_return(self) -> syn.ReturnStmt:
         self._advance()
-        if self._match(";"):
-            return syn.ReturnStmt(None)
-        value = self._parse_expression()
+        value = None if self._check(";") else self._parse_expression()
         self._expect_text(";", "after return value")
         return syn.ReturnStmt(value)
 
@@ -513,15 +523,24 @@ class _Parser:
         return syn.ThrowStmt(value)
 
     def _parse_if(self) -> syn.IfStmt:
-        self._advance()
-        self._expect_text("(", "after 'if'")
-        condition = self._parse_expression()
-        self._expect_text(")", "after if condition")
-        then_branch = self._parse_statement()
-        else_branch = None
-        if self._match("else"):
-            else_branch = self._parse_statement()
-        return syn.IfStmt(condition, then_branch, else_branch)
+        """An ``if`` and its ``else if`` arms, read in a loop and nested from the last."""
+        arms: list[tuple[syn.Expr, syn.Stmt]] = []
+        statement = None
+        while True:
+            self._advance()
+            self._expect_text("(", "after 'if'")
+            condition = self._parse_expression()
+            self._expect_text(")", "after if condition")
+            arms.append((condition, self._parse_statement()))
+            if not self._match("else"):
+                break
+            if not self._check("if"):
+                statement = self._parse_statement()
+                break
+        while arms:
+            condition, then_branch = arms.pop()
+            statement = syn.IfStmt(condition, then_branch, statement)
+        return statement
 
     def _parse_while(self) -> syn.WhileStmt:
         self._advance()
@@ -560,9 +579,7 @@ class _Parser:
                 init = self._parse_declarator_list(type_text, name)
                 self._expect_text(";", "after for initializer")
             else:
-                init = [self._parse_expression()]
-                while self._match(","):
-                    init.append(self._parse_expression())
+                init = self._parse_expression_list()
                 self._expect_text(";", "after for initializer")
 
         condition = None
@@ -570,11 +587,7 @@ class _Parser:
             condition = self._parse_expression()
             self._expect_text(";", "after for condition")
 
-        update: list[syn.Expr] = []
-        if not self._check(")"):
-            update.append(self._parse_expression())
-            while self._match(","):
-                update.append(self._parse_expression())
+        update = [] if self._check(")") else self._parse_expression_list()
         self._expect_text(")", "after for clauses")
         return syn.ForStmt(init, condition, update, self._parse_statement())
 
@@ -598,20 +611,9 @@ class _Parser:
                 index += 2
             if self._is_at(index, "<"):
                 definite = True
-                depth = 0
-                while True:
-                    token = self._token_at(index)
-                    if token is None or token.text in stops:
-                        return None
-                    if token.text == "<":
-                        depth += 1
-                    elif token.text in (">", ">>", ">>>"):
-                        depth -= len(token.text)
-                        if depth < 0:
-                            return None
-                    index += 1
-                    if depth == 0:
-                        break
+                index, closed = self._scan_generic_arguments(index, stops)
+                if not closed:
+                    return None
         else:
             return None
         while self._is_at(index, "[") and self._is_at(index + 1, "]"):
@@ -655,8 +657,7 @@ class _Parser:
 
     def _parse_array_initializer(self) -> syn.ArrayInitExpr:
         self._expect_text("{", "to open array initializer")
-        self._descend()
-        try:
+        with self:
             values: list[syn.Expr] = []
             while not self._check("}"):
                 if self._at_end():
@@ -666,32 +667,38 @@ class _Parser:
                     break
             self._expect_text("}", "to close array initializer")
             return syn.ArrayInitExpr(values)
-        finally:
-            self.depth -= 1
 
     # ------------------------------------------------------------------
     # expressions
 
-    def _parse_expression(self, assignment: bool = True) -> syn.Expr:
-        """A conditional expression, or an assignment to one (right-associative).
+    def _parse_expression(self) -> syn.Expr:
+        """Assignments (right-associative) to conditional expressions.
 
-        The false branch of ``?:`` takes no assignment, so ``a ? b : c = d``
+        Both chains are read in loops and nested from the right afterwards.
+        A false branch of ``?:`` takes no assignment, so ``a ? b : c = d``
         assigns to the whole conditional.
         """
-        self._descend()
-        try:
-            expression = self._parse_binary(1)
-            if self._match("?"):
-                if_true = self._parse_expression()
-                self._expect_text(":", "in conditional expression")
-                expression = syn.ConditionalExpr(expression, if_true, self._parse_expression(assignment=False))
-            token = self._peek()
-            if assignment and token is not None and token.text in _ASSIGN_OPERATORS:
+        with self:
+            targets: list[tuple[syn.Expr, str]] = []
+            while True:
+                branches: list[tuple[syn.Expr, syn.Expr]] = []
+                expression = self._parse_binary(1)
+                while self._match("?"):
+                    branches.append((expression, self._parse_expression()))
+                    self._expect_text(":", "in conditional expression")
+                    expression = self._parse_binary(1)
+                while branches:
+                    condition, if_true = branches.pop()
+                    expression = syn.ConditionalExpr(condition, if_true, expression)
+                token = self._peek()
+                if token is None or token.text not in _ASSIGN_OPERATORS:
+                    break
                 self._advance()
-                expression = syn.AssignExpr(expression, token.text, self._parse_expression())
+                targets.append((expression, token.text))
+            while targets:
+                target, operator = targets.pop()
+                expression = syn.AssignExpr(target, operator, expression)
             return expression
-        finally:
-            self.depth -= 1
 
     def _parse_binary(self, min_precedence: int) -> syn.Expr:
         """Precedence climbing over operators binding at least ``min_precedence``."""
@@ -701,31 +708,33 @@ class _Parser:
             precedence = _BINARY_PRECEDENCE.get(token.text, 0) if token is not None else 0
             if precedence < min_precedence:
                 return left
+            if precedence > _INSTANCEOF_PRECEDENCE and self.pos == self.type_operand_end:
+                return left
             self._advance()
             if token.text == "instanceof":
                 left = syn.InstanceofExpr(left, self._parse_type("after 'instanceof'"))
+                self.type_operand_end = self.pos
                 continue
-            self._descend()
-            try:
+            with self:
                 left = syn.BinaryExpr(token.text, left, self._parse_binary(precedence + 1))
-            finally:
-                self.depth -= 1
 
     def _parse_unary(self) -> syn.Expr:
+        """Prefix operators and casts, read in a loop and applied from the innermost."""
+        prefixes: list[tuple[str, str | None]] = []
         token = self._peek()
-        if token is None or not (token.text in _PREFIX_OPERATORS or (token.text == "(" and self._looks_like_cast())):
-            return self._parse_postfix(self._parse_primary())
-        self._advance()
-        cast_type = None
-        if token.text == "(":
-            cast_type = self._parse_type("in cast")
-            self._expect_text(")", "after cast type")
-        self._descend()
-        try:
-            operand = self._parse_unary()
-        finally:
-            self.depth -= 1
-        return syn.UnaryExpr(token.text, operand) if cast_type is None else syn.CastExpr(cast_type, operand)
+        while token is not None and (token.text in _PREFIX_OPERATORS or (token.text == "(" and self._looks_like_cast())):
+            self._advance()
+            cast_type = None
+            if token.text == "(":
+                cast_type = self._parse_type("in cast")
+                self._expect_text(")", "after cast type")
+            prefixes.append((token.text, cast_type))
+            token = self._peek()
+        operand = self._parse_postfix(self._parse_primary())
+        while prefixes:
+            operator, cast_type = prefixes.pop()
+            operand = syn.UnaryExpr(operator, operand) if cast_type is None else syn.CastExpr(cast_type, operand)
+        return operand
 
     def _looks_like_cast(self) -> bool:
         scanned = self._scan_type(self.pos + 1, _CAST_TYPE_STOPS)
@@ -747,13 +756,11 @@ class _Parser:
         token = self._peek()
         if token is None:
             raise self._fail("expected expression")
-        if token.kind is TokenKind.LITERAL:
+        if token.kind is TokenKind.LITERAL or token.text in _LITERAL_KEYWORDS:
             return syn.LiteralExpr(self._advance())
         if token.kind is TokenKind.IDENTIFIER:
             return syn.NameExpr(self._advance())
         if token.kind is TokenKind.KEYWORD:
-            if token.text in _LITERAL_KEYWORDS:
-                return syn.LiteralExpr(self._advance())
             if token.text == "this":
                 return syn.ThisExpr(self._advance())
             if token.text == "super":
@@ -795,13 +802,15 @@ class _Parser:
 
     def _parse_arguments(self) -> list[syn.Expr]:
         self._expect_text("(", "to open arguments")
-        arguments: list[syn.Expr] = []
-        if not self._check(")"):
-            arguments.append(self._parse_expression())
-            while self._match(","):
-                arguments.append(self._parse_expression())
+        arguments = [] if self._check(")") else self._parse_expression_list()
         self._expect_text(")", "to close arguments")
         return arguments
+
+    def _parse_expression_list(self) -> list[syn.Expr]:
+        expressions = [self._parse_expression()]
+        while self._match(","):
+            expressions.append(self._parse_expression())
+        return expressions
 
     def _parse_postfix(self, expression: syn.Expr) -> syn.Expr:
         while True:

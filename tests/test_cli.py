@@ -281,11 +281,9 @@ def _probe_project(root, statement):
 DEEP_SHAPES = {
     "parentheses": lambda n: "int v = " + "(" * n + "x" + ")" * n + ";",
     "calls": lambda n: "int v = " + "f(" * n + "x" + ")" * n + ";",
+    "constructor-arguments": lambda n: "Object v = " + "new A(" * n + "x" + ")" * n + ";",
     "index": lambda n: "int v = " + "a[" * n + "0" + "]" * n + ";",
-    "prefix-operators": lambda n: "boolean v = " + "!" * n + "x;",
-    "casts": lambda n: "int v = " + "(int) " * n + "x;",
-    "conditionals": lambda n: "int v = " + "x ? x : " * n + "x;",
-    "assignments": lambda n: "x = " * n + "x;",
+    "conditional-true-branches": lambda n: "int v = " + "x ? " * n + "x" + " : x" * n + ";",
     "blocks": lambda n: "{" * n + "}" * n,
     "ifs": lambda n: "if (x) " * n + "x = 1;",
     "array-initializers": lambda n: "int[] v = " + "{" * n + "}" * n + ";",
@@ -305,6 +303,29 @@ def test_deep_nesting_is_a_diagnostic_not_a_crash(shape, mode, tmp_path, capsys)
         assert not out.exists()
     else:
         assert code == 0
+
+
+# Chains are read in loops, not nested, so their length is not limited.
+CHAIN_SHAPES = {
+    "prefix-operators": "boolean v = " + "!" * 3000 + "x;",
+    "casts": "int v = " + "(int) " * 3000 + "x;",
+    "conditionals": "int v = " + "x ? x : " * 3000 + "x;",
+    "assignments": "x = " * 3000 + "x;",
+    "else-ifs": "if (x) f(); " + "else if (x) f(); " * 3000 + "else f();",
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("shape", sorted(CHAIN_SHAPES))
+def test_long_chains_are_not_nesting(shape, mode, tmp_path, capsys):
+    source = _probe_project(tmp_path, CHAIN_SHAPES[shape])
+    out = tmp_path / "out"
+    code, _, stderr = _run(["--in", str(source), "--out", str(out), "--mode", mode], capsys)
+    assert code == 0
+    assert "warnings: 0" in stderr
+    assert "methods: 1" in stderr
+    if shape == "else-ifs":
+        assert (out / "model.xml").read_text(encoding="utf-8").count('<MethodInvocation Name="f"') == 3002
 
 
 # The shapes that crashed the whole run before expressions were parsed by

@@ -6,7 +6,7 @@ from codesum import syntax as syn
 from codesum.diagnostics import Severity, has_errors
 from codesum.lexer import tokenize
 from codesum.model import AccessLevel
-from codesum.parser import parse_compilation_unit
+from codesum.parser import _MAX_NESTING, parse_compilation_unit
 
 
 def _parse(source: str, strict: bool = True):
@@ -260,8 +260,59 @@ def _shape(node) -> str:
         ("(T) y", "(cast T y)"),
         ("(a) + b", "(+ (paren a) b)"),
         ("a[i].f(x)++", "(post++ (call (index a i) f x))"),
+        ("a = b = c", "(= a (= b c))"),
+        ("a = b ? c : d = e", "(= a (= (? b c d) e))"),
+        ("a ? b ? c : d : e", "(? a (? b c d) e)"),
+        ("- -x", "(- (- x))"),
+        ("(int) (long) !x", "(cast int (cast long (! x)))"),
+        ("a < b instanceof T", "(instanceof (< a b) T)"),
+        ("x instanceof T instanceof U == z", "(== (instanceof (instanceof x T) U) z)"),
     ],
 )
 def test_exact_expression_trees(expression, shape):
     unit = _clean(f"class A {{ void m() {{ {expression}; }} }}")
     assert _shape(unit.classes[0].methods[0].body.statements[0].expression) == shape
+
+
+def test_else_if_arms_nest_from_the_last():
+    unit = _clean("class A { void m() { if (a) x(); else if (b) y(); else z(); } }")
+    outer = unit.classes[0].methods[0].body.statements[0]
+    assert _shape(outer.condition) == "a"
+    assert _shape(outer.then_branch.expression) == "(call - x)"
+    inner = outer.else_branch
+    assert isinstance(inner, syn.IfStmt)
+    assert _shape(inner.condition) == "b"
+    assert _shape(inner.then_branch.expression) == "(call - y)"
+    assert _shape(inner.else_branch.expression) == "(call - z)"
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("x instanceof T + y", "1:37: error: expected ';' after expression, found '+'"),
+        ("a == x instanceof T * y", "1:42: error: expected ';' after expression, found '*'"),
+        ("f(x instanceof T + y)", "1:39: error: expected ')' to close arguments, found '+'"),
+        ("v = x instanceof T << 2", "1:41: error: expected ';' after expression, found '<<'"),
+    ],
+)
+def test_type_operand_takes_no_tighter_operator(expression, message):
+    unit, diagnostics = _parse(f"class A {{ void m() {{ {expression}; }} }}")
+    assert unit is None
+    assert [str(d) for d in diagnostics] == [f"Test.java:{message}"]
+
+
+def _nested_parentheses(name: str, depth: int) -> str:
+    return f"class {name} {{ void m() {{ int v = {'(' * depth}x{')' * depth}; }} }}\n"
+
+
+def test_nesting_limit_is_exact_and_restored_after_recovery():
+    # The statement and its initializer take two levels, each parenthesis one more.
+    deepest = _MAX_NESTING - 2
+    assert _parse(_nested_parentheses("A", deepest))[1] == []
+    unit, diagnostics = _parse(_nested_parentheses("A", deepest + 1))
+    assert unit is None
+    assert [d.message for d in diagnostics] == ["nesting too deep"]
+    source = _nested_parentheses("A", 150) + _nested_parentheses("B", 150) + _nested_parentheses("C", deepest)
+    unit, diagnostics = _parse(source, strict=False)
+    assert [cls.name.text for cls in unit.classes] == ["C"]
+    assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
