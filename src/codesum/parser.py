@@ -256,8 +256,6 @@ class _Parser:
             elif token.text == "}":
                 if depth > 0:
                     depth -= 1
-                self.pos += 1
-                continue
             elif depth == 0 and (token.text in _TOP_LEVEL_START or token.text == "@"):
                 return
             self.pos += 1
@@ -294,11 +292,9 @@ class _Parser:
 
     def _parse_type(self, context: str) -> str:
         token = self._peek()
-        if token is None:
-            raise self._fail(f"expected type {context}")
-        if token.kind is TokenKind.KEYWORD and (token.text in PRIMITIVE_TYPES or token.text == "void"):
+        if token is not None and (token.text in PRIMITIVE_TYPES or token.text == "void"):
             text = self._advance().text
-        elif token.kind is TokenKind.IDENTIFIER:
+        elif token is not None and token.kind is TokenKind.IDENTIFIER:
             text = self._parse_qualified_name(context)
         else:
             raise self._fail(f"expected type {context}")
@@ -579,7 +575,9 @@ class _Parser:
                 init = self._parse_declarator_list(type_text, name)
                 self._expect_text(";", "after for initializer")
             else:
-                init = self._parse_expression_list()
+                init = [self._parse_expression()]
+                while self._match(","):
+                    init.append(self._parse_expression())
                 self._expect_text(";", "after for initializer")
 
         condition = None
@@ -587,7 +585,11 @@ class _Parser:
             condition = self._parse_expression()
             self._expect_text(";", "after for condition")
 
-        update = [] if self._check(")") else self._parse_expression_list()
+        update: list[syn.Expr] = []
+        if not self._check(")"):
+            update.append(self._parse_expression())
+            while self._match(","):
+                update.append(self._parse_expression())
         self._expect_text(")", "after for clauses")
         return syn.ForStmt(init, condition, update, self._parse_statement())
 
@@ -802,15 +804,13 @@ class _Parser:
 
     def _parse_arguments(self) -> list[syn.Expr]:
         self._expect_text("(", "to open arguments")
-        arguments = [] if self._check(")") else self._parse_expression_list()
+        arguments: list[syn.Expr] = []
+        if not self._check(")"):
+            arguments.append(self._parse_expression())
+            while self._match(","):
+                arguments.append(self._parse_expression())
         self._expect_text(")", "to close arguments")
         return arguments
-
-    def _parse_expression_list(self) -> list[syn.Expr]:
-        expressions = [self._parse_expression()]
-        while self._match(","):
-            expressions.append(self._parse_expression())
-        return expressions
 
     def _parse_postfix(self, expression: syn.Expr) -> syn.Expr:
         while True:
