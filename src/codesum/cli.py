@@ -9,6 +9,7 @@ standard error. Exit codes: 0 success, 1 any error diagnostic, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -89,27 +90,37 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(model: CodeModel | None, warning_count: int, ratio: float | None) -> None:
-    packages = len(model.packages) if model is not None else 0
-    classes = sum(len(pkg.classes) for pkg in model.packages) if model is not None else 0
-    methods = (
-        sum(len(cls.methods) for pkg in model.packages for cls in pkg.classes) if model is not None else 0
-    )
+def _report(model: CodeModel | None, diagnostics: list[Diagnostic], ratio: float | None) -> None:
+    for diagnostic in diagnostics:
+        print(diagnostic, file=sys.stderr)
+    warning_count = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
+    packages = model.packages if model is not None else ()
+    classes = [cls for pkg in packages for cls in pkg.classes]
+    methods = sum(len(cls.methods) for cls in classes)
     print(
-        f"packages: {packages}, classes: {classes}, methods: {methods}, warnings: {warning_count}",
+        f"packages: {len(packages)}, classes: {len(classes)}, methods: {methods}, warnings: {warning_count}",
         file=sys.stderr,
     )
     rendered = f"{ratio:.2f}" if ratio is not None else "n/a"
     print(f"summary/source length ratio: {rendered}", file=sys.stderr)
 
 
-def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
-    for diagnostic in diagnostics:
-        print(str(diagnostic), file=sys.stderr)
-
-
 def run(config: RunConfig) -> int:
-    """Execute one batch run; outputs are written only when no error occurs."""
+    """Execute one batch run; outputs are written only when no error occurs.
+
+    The cyclic garbage collector is paused meanwhile: a run builds only trees,
+    which reference counting frees, so its passes would free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(config)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(config: RunConfig) -> int:
     diagnostics: list[Diagnostic] = []
     model: CodeModel | None = None
     source_length = 0
@@ -148,16 +159,17 @@ def run(config: RunConfig) -> int:
                 summaries = summarize_project(model, config.rendering)
                 planned.extend(plan_emission(summaries, config.layout, config.out_dir))
             write_plan(planned)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            where = Path(exc.filename).as_posix() if exc.filename else ""
+            diagnostics.append(error(exc.strerror or str(exc), where))
+        except ValueError as exc:
             diagnostics.append(error(str(exc)))
 
     ratio = None
-    if summaries is not None and source_length > 0:
+    if summaries is not None and source_length > 0 and not has_errors(diagnostics):
         ratio = sum(len(document.body) for document in summaries) / source_length
 
-    _print_diagnostics(diagnostics)
-    warning_count = sum(1 for d in diagnostics if d.severity is Severity.WARNING)
-    _report(model, warning_count, ratio)
+    _report(model, diagnostics, ratio)
     return 1 if has_errors(diagnostics) else 0
 
 

@@ -1,5 +1,8 @@
 """Batch front end: stages, exit codes, reports, and failure handling."""
 
+import errno
+import gc
+import os
 import re
 
 import pytest
@@ -143,7 +146,8 @@ def test_emit_collision_writes_nothing_not_even_the_model(tmp_path, capsys):
         ["--in", str(source), "--out", str(out), "--layout", "per-identifier"], capsys
     )
     assert code == 1
-    assert "collision" in stderr
+    assert re.search(r"^<model>: error: .*collision", stderr, re.MULTILINE), stderr
+    assert "summary/source length ratio: n/a" in stderr
     assert not out.exists()
 
 
@@ -265,6 +269,36 @@ def test_unwritable_summary_directory_writes_nothing(tmp_path, capsys):
     assert [path for path in out.rglob("*") if path.is_file()] == [out / "methods"]
 
 
+# Each case puts something in the way of one planned output: a file where
+# the methods directory goes, or a directory where a class summary goes.
+WRITE_BLOCKERS = {
+    "methods-is-a-file": ("methods", errno.EEXIST),
+    "summary-is-a-directory": ("classes/p.C.txt", errno.EISDIR),
+}
+
+
+@pytest.mark.parametrize("blocker", sorted(WRITE_BLOCKERS))
+def test_failed_write_is_reported_against_its_path(blocker, tmp_path, capsys):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "C.java").write_text("package p;\npublic class C { void m() {} }\n", encoding="utf-8")
+    out = tmp_path / "out"
+    relative, code_of_error = WRITE_BLOCKERS[blocker]
+    in_the_way = out / relative
+    if blocker == "methods-is-a-file":
+        out.mkdir()
+        in_the_way.write_text("in the way", encoding="utf-8")
+    else:
+        in_the_way.mkdir(parents=True)
+    code, _, stderr = _run(["--in", str(source), "--out", str(out), "--layout", "per-identifier"], capsys)
+    assert code == 1
+    assert stderr.splitlines() == [
+        f"{in_the_way.as_posix()}: error: {os.strerror(code_of_error)}",
+        "packages: 1, classes: 1, methods: 1, warnings: 0",
+        "summary/source length ratio: n/a",
+    ]
+
+
 def _probe_project(root, statement):
     source = root / "src"
     source.mkdir()
@@ -347,3 +381,87 @@ def test_long_chains_and_nesting_within_the_limit_are_extracted(shape, mode, tmp
     assert "warnings: 0" in stderr
     assert "methods: 1" in stderr
     assert (out / "model.xml").is_file()
+
+
+# A run pauses the cyclic garbage collector, which is safe only while every
+# structure the pipeline builds is freed by reference counting alone.
+
+
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_restores_the_collector_state(enabled, outcome, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    if outcome == "exit-1":
+        out.write_text("a file where the output directory goes", encoding="utf-8")
+    seen = []
+    real_write_plan = cli.write_plan
+
+    def write_plan(planned):
+        seen.append(gc.isenabled())
+        if outcome == "raises":
+            raise RuntimeError("write failed")
+        return real_write_plan(planned)
+
+    monkeypatch.setattr(cli, "write_plan", write_plan)
+    config = cli.RunConfig(out_dir=out, input_dir=FIXTURES / "drawing-shapes")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError):
+                cli.run(config)
+        else:
+            assert cli.run(config) == (0 if outcome == "exit-0" else 1)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def _lenient_extract_of_broken_source(tmp_path):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "Broken.java").write_text(
+        "package p;\nclass A { void f() { int x = 1; # } }\nclass B { void g( { } }\nclass C { void h() {} }\n",
+        encoding="utf-8",
+    )
+    return cli.RunConfig(out_dir=tmp_path / "out", input_dir=source, strict=False, stage=cli.STAGE_EXTRACT), 0
+
+
+def _summarize_exported_model(tmp_path):
+    extracted = tmp_path / "extracted"
+    assert cli.run(cli.RunConfig(out_dir=extracted, input_dir=FIXTURES / "drawing-shapes", stage=cli.STAGE_EXTRACT)) == 0
+    config = cli.RunConfig(
+        out_dir=tmp_path / "out", xml_path=extracted / "model.xml", stage=cli.STAGE_SUMMARIZE, layout="per-identifier"
+    )
+    return config, 0
+
+
+def _failing_write(tmp_path):
+    (tmp_path / "out").write_text("a file where the output directory goes", encoding="utf-8")
+    return cli.RunConfig(out_dir=tmp_path / "out", input_dir=FIXTURES / "drawing-shapes"), 1
+
+
+CYCLE_FREE_RUNS = {
+    "full-strict": lambda tmp_path: (cli.RunConfig(out_dir=tmp_path / "out", input_dir=FIXTURES / "drawing-shapes"), 0),
+    "lenient-extract-with-errors": _lenient_extract_of_broken_source,
+    "summarize-exported-model": _summarize_exported_model,
+    "failed-write": _failing_write,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLE_FREE_RUNS))
+def test_a_run_makes_no_reference_cycles(case, tmp_path, capsys):
+    config, expected_exit = CYCLE_FREE_RUNS[case](tmp_path)
+    capsys.readouterr()
+    # run, not main: argparse's parser is itself cyclic.
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.run(config) == expected_exit
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    if case == "lenient-extract-with-errors":
+        stderr = capsys.readouterr().err
+        assert "illegal character '#'" in stderr
+        assert "skipping to next top-level declaration" in stderr
