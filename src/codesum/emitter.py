@@ -8,6 +8,7 @@ UTF-8 with LF newlines and is byte-identical across runs on the same model.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,10 +144,19 @@ def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
 
     Every parent directory is created before the first file is written, so a
     directory that cannot be made (say, a file is in its place) fails the
-    run with nothing written.
+    run with nothing written: the directories this call made up to then are
+    removed again, innermost first, before the error propagates.
     """
-    for directory in dict.fromkeys(path.parent for path, _ in planned):
-        directory.mkdir(parents=True, exist_ok=True)
+    made: list[Path] = []
+    try:
+        for directory in dict.fromkeys(path.parent for path, _ in planned):
+            made += reversed([parent for parent in (directory, *directory.parents) if not parent.exists()])
+            directory.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     for path, content in planned:
         path.write_text(content, encoding="utf-8", newline="\n")
     return [path for path, _ in planned]

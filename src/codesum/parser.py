@@ -14,6 +14,11 @@ statements, expressions within expressions, binary right operands, array
 initializers) counts towards ``_MAX_NESTING``; input nested deeper is a syntax
 problem, so no input can exhaust the interpreter's stack.
 
+Tokens are read by index from a padded array: ``self.tokens`` and its
+parallel ``self.texts`` run two entries past the last token, as ``None`` and
+``""``, so any lookahead reads past the end without a bounds check and finds
+"no token" there.
+
 Strict mode stops at the first syntax problem in a file; lenient mode records
 it as a warning and resumes at the next top-level declaration.
 """
@@ -97,7 +102,10 @@ def _append_type_text(buffer: str, token: Token) -> str:
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str, strict: bool):
-        self.tokens = tokens
+        # Two pads: a cast lookahead reads the token after a type ending the file.
+        self.tokens: list[Token | None] = [*tokens, None, None]
+        self.texts = [token.text for token in tokens] + ["", ""]
+        self.end = len(tokens)
         self.file = file
         self.strict = strict
         self.pos = 0
@@ -109,24 +117,12 @@ class _Parser:
     # ------------------------------------------------------------------
     # token plumbing
 
-    def _token_at(self, index: int) -> Token | None:
-        if 0 <= index < len(self.tokens):
-            return self.tokens[index]
-        return None
-
-    def _peek(self, offset: int = 0) -> Token | None:
-        return self._token_at(self.pos + offset)
-
-    def _is_at(self, index: int, text: str) -> bool:
-        token = self._token_at(index)
-        return token is not None and token.text == text
-
     def _kind_at(self, index: int) -> TokenKind | None:
-        token = self._token_at(index)
+        token = self.tokens[index]
         return token.kind if token is not None else None
 
     def _at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos >= self.end
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -134,37 +130,38 @@ class _Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        return self._is_at(self.pos, text)
+        return self.texts[self.pos] == text
 
     def _match(self, text: str) -> bool:
-        if self._check(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def _failure_position(self) -> tuple[int, int]:
-        token = self._peek()
-        if token is None:
-            token = self.tokens[-1] if self.tokens else None
+        # With no tokens at all, ``end - 1`` indexes the last pad.
+        token = self.tokens[self.pos] or self.tokens[self.end - 1]
         if token is None:
             return 1, 1
         return token.line, token.column
 
     def _fail(self, message: str) -> _ParseFailure:
         line, column = self._failure_position()
-        found = self._peek()
+        found = self.tokens[self.pos]
         detail = f"{message}, found {found.text!r}" if found is not None else f"{message}, found end of file"
         return _ParseFailure(detail, line, column)
 
     def _expect_text(self, text: str, context: str) -> Token:
-        if not self._check(text):
+        if self.texts[self.pos] != text:
             raise self._fail(f"expected {text!r} {context}")
         return self._advance()
 
     def _expect_identifier(self, context: str) -> Token:
-        if self._kind_at(self.pos) is not TokenKind.IDENTIFIER:
+        token = self.tokens[self.pos]
+        if token is None or token.kind is not TokenKind.IDENTIFIER:
             raise self._fail(f"expected identifier {context}")
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _warn_at(self, message: str, token: Token) -> None:
         self.diagnostics.append(warning(message, self.file, token.line, token.column))
@@ -216,7 +213,7 @@ class _Parser:
                 if self._match(";"):
                     continue
                 access = self._parse_modifiers()
-                token = self._peek()
+                token = self.tokens[self.pos]
                 if token is None:
                     break
                 if token.text == "class":
@@ -250,13 +247,13 @@ class _Parser:
     def _synchronize_top_level(self) -> None:
         depth = 0
         while not self._at_end():
-            token = self.tokens[self.pos]
-            if token.text == "{":
+            text = self.texts[self.pos]
+            if text == "{":
                 depth += 1
-            elif token.text == "}":
+            elif text == "}":
                 if depth > 0:
                     depth -= 1
-            elif depth == 0 and (token.text in _TOP_LEVEL_START or token.text == "@"):
+            elif depth == 0 and (text in _TOP_LEVEL_START or text == "@"):
                 return
             self.pos += 1
 
@@ -275,12 +272,10 @@ class _Parser:
 
     def _parse_modifiers(self) -> AccessLevel:
         access: AccessLevel | None = None
-        token = self._peek()
-        while token is not None and token.text in _MODIFIERS:
+        while self.texts[self.pos] in _MODIFIERS:
             if access is None:
-                access = _ACCESS_KEYWORDS.get(token.text)
-            self._advance()
-            token = self._peek()
+                access = _ACCESS_KEYWORDS.get(self.texts[self.pos])
+            self.pos += 1
         return access if access is not None else AccessLevel.PACKAGE_PRIVATE
 
     def _parse_qualified_name(self, context: str) -> str:
@@ -291,7 +286,7 @@ class _Parser:
         return ".".join(parts)
 
     def _parse_type(self, context: str) -> str:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token is not None and (token.text in PRIMITIVE_TYPES or token.text == "void"):
             text = self._advance().text
         elif token is not None and token.kind is TokenKind.IDENTIFIER:
@@ -305,7 +300,7 @@ class _Parser:
     def _parse_dims(self) -> str:
         """Consume ``[]`` pairs; returns one ``[]`` per pair."""
         dims = ""
-        while self._is_at(self.pos, "[") and self._is_at(self.pos + 1, "]"):
+        while self.texts[self.pos] == "[" and self.texts[self.pos + 1] == "]":
             self.pos += 2
             dims += "[]"
         return dims
@@ -329,8 +324,8 @@ class _Parser:
         and False.
         """
         depth = 0
-        while index < len(self.tokens):
-            text = self.tokens[index].text
+        while index < self.end:
+            text = self.texts[index]
             if text in stops:
                 break
             if text == "<":
@@ -376,7 +371,7 @@ class _Parser:
         name = self._expect_identifier("after 'class'")
         cls = syn.ClassSyntax(name=name, access_level=access)
         if self._check("<"):
-            self._warn_at("unsupported construct: generic type parameters (skipped)", self._peek())  # type: ignore[arg-type]
+            self._warn_at("unsupported construct: generic type parameters (skipped)", self.tokens[self.pos])  # type: ignore[arg-type]
             self._consume_generic_arguments("")
         if self._match("extends"):
             cls.superclass = self._parse_type("after 'extends'")
@@ -397,7 +392,7 @@ class _Parser:
         if self._match(";"):
             return
         access = self._parse_modifiers()
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise self._fail("unexpected end of file in class body")
         if token.text == "{":
@@ -409,7 +404,7 @@ class _Parser:
             self._advance()
             self._skip_declaration_with_body()
             return
-        if token.kind is TokenKind.IDENTIFIER and token.text == cls.name.text and self._is_at(self.pos + 1, "("):
+        if token.kind is TokenKind.IDENTIFIER and token.text == cls.name.text and self.texts[self.pos + 1] == "(":
             name = self._advance()
             cls.methods.append(self._parse_method(name, access, cls.name.text, is_constructor=True))
             return
@@ -463,7 +458,7 @@ class _Parser:
         return block
 
     def _parse_statement(self) -> syn.Stmt:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise self._fail("expected statement")
         with self:
@@ -473,16 +468,9 @@ class _Parser:
                 self._advance()
                 return syn.EmptyStmt()
             if token.kind is TokenKind.KEYWORD:
-                handler = {
-                    "return": self._parse_return,
-                    "throw": self._parse_throw,
-                    "if": self._parse_if,
-                    "while": self._parse_while,
-                    "do": self._parse_do_while,
-                    "for": self._parse_for,
-                }.get(token.text)
+                handler = _STATEMENT_HANDLERS.get(token.text)
                 if handler is not None:
-                    return handler()
+                    return handler(self)
                 if token.text in ("break", "continue"):
                     self._advance()
                     self._expect_text(";", f"after {token.text!r}")
@@ -600,7 +588,7 @@ class _Parser:
         generic arguments or ``[]``) rules out an expression, or None when no
         type starts there or its generic arguments hold a token from ``stops``.
         """
-        token = self._token_at(index)
+        token = self.tokens[index]
         if token is None:
             return None
         if token.kind is TokenKind.KEYWORD and token.text in PRIMITIVE_TYPES:
@@ -609,16 +597,16 @@ class _Parser:
         elif token.kind is TokenKind.IDENTIFIER:
             definite = False
             index += 1
-            while self._is_at(index, ".") and self._kind_at(index + 1) is TokenKind.IDENTIFIER:
+            while self.texts[index] == "." and self._kind_at(index + 1) is TokenKind.IDENTIFIER:
                 index += 2
-            if self._is_at(index, "<"):
+            if self.texts[index] == "<":
                 definite = True
                 index, closed = self._scan_generic_arguments(index, stops)
                 if not closed:
                     return None
         else:
             return None
-        while self._is_at(index, "[") and self._is_at(index + 1, "]"):
+        while self.texts[index] == "[" and self.texts[index + 1] == "]":
             index += 2
             definite = True
         return index, definite
@@ -692,11 +680,11 @@ class _Parser:
                 while branches:
                     condition, if_true = branches.pop()
                     expression = syn.ConditionalExpr(condition, if_true, expression)
-                token = self._peek()
-                if token is None or token.text not in _ASSIGN_OPERATORS:
+                operator = self.texts[self.pos]
+                if operator not in _ASSIGN_OPERATORS:
                     break
-                self._advance()
-                targets.append((expression, token.text))
+                self.pos += 1
+                targets.append((expression, operator))
             while targets:
                 target, operator = targets.pop()
                 expression = syn.AssignExpr(target, operator, expression)
@@ -706,32 +694,32 @@ class _Parser:
         """Precedence climbing over operators binding at least ``min_precedence``."""
         left = self._parse_unary()
         while True:
-            token = self._peek()
-            precedence = _BINARY_PRECEDENCE.get(token.text, 0) if token is not None else 0
+            operator = self.texts[self.pos]
+            precedence = _BINARY_PRECEDENCE.get(operator, 0)
             if precedence < min_precedence:
                 return left
             if precedence > _INSTANCEOF_PRECEDENCE and self.pos == self.type_operand_end:
                 return left
-            self._advance()
-            if token.text == "instanceof":
+            self.pos += 1
+            if operator == "instanceof":
                 left = syn.InstanceofExpr(left, self._parse_type("after 'instanceof'"))
                 self.type_operand_end = self.pos
                 continue
             with self:
-                left = syn.BinaryExpr(token.text, left, self._parse_binary(precedence + 1))
+                left = syn.BinaryExpr(operator, left, self._parse_binary(precedence + 1))
 
     def _parse_unary(self) -> syn.Expr:
         """Prefix operators and casts, read in a loop and applied from the innermost."""
         prefixes: list[tuple[str, str | None]] = []
-        token = self._peek()
-        while token is not None and (token.text in _PREFIX_OPERATORS or (token.text == "(" and self._looks_like_cast())):
-            self._advance()
+        operator = self.texts[self.pos]
+        while operator in _PREFIX_OPERATORS or (operator == "(" and self._looks_like_cast()):
+            self.pos += 1
             cast_type = None
-            if token.text == "(":
+            if operator == "(":
                 cast_type = self._parse_type("in cast")
                 self._expect_text(")", "after cast type")
-            prefixes.append((token.text, cast_type))
-            token = self._peek()
+            prefixes.append((operator, cast_type))
+            operator = self.texts[self.pos]
         operand = self._parse_postfix(self._parse_primary())
         while prefixes:
             operator, cast_type = prefixes.pop()
@@ -743,8 +731,8 @@ class _Parser:
         if scanned is None:
             return False
         index, definite = scanned
-        operand = self._token_at(index + 1)
-        if not self._is_at(index, ")") or operand is None:
+        operand = self.tokens[index + 1]
+        if self.texts[index] != ")" or operand is None:
             return False
         if definite:
             return True
@@ -755,7 +743,7 @@ class _Parser:
         return operand.text in ("(", "!", "~")
 
     def _parse_primary(self) -> syn.Expr:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise self._fail("expected expression")
         if token.kind is TokenKind.LITERAL or token.text in _LITERAL_KEYWORDS:
@@ -787,7 +775,7 @@ class _Parser:
         if self._check("("):
             arguments = self._parse_arguments()
             if self._check("{"):
-                self._warn_at("unsupported construct: anonymous class body (skipped)", self._peek())  # type: ignore[arg-type]
+                self._warn_at("unsupported construct: anonymous class body (skipped)", self.tokens[self.pos])  # type: ignore[arg-type]
                 self._skip_balanced("{", "}")
             return syn.NewExpr(type_text, arguments, new_token)
         if self._check("[") or self._check("{"):
@@ -814,22 +802,20 @@ class _Parser:
 
     def _parse_postfix(self, expression: syn.Expr) -> syn.Expr:
         while True:
-            token = self._peek()
-            if token is None:
-                return expression
-            if token.text == ".":
-                if self._is_at(self.pos + 1, "class"):
+            text = self.texts[self.pos]
+            if text == ".":
+                if self.texts[self.pos + 1] == "class":
                     expression = syn.ClassLiteralExpr(expression, self.tokens[self.pos + 1])
                     self.pos += 2
                     continue
-                self._advance()
+                self.pos += 1
                 name = self._expect_identifier("after '.'")
                 if self._check("("):
                     expression = syn.CallExpr(expression, name, self._parse_arguments())
                 else:
                     expression = syn.FieldSelectExpr(expression, name)
                 continue
-            if token.text == "(":
+            if text == "(":
                 if isinstance(expression, syn.NameExpr):
                     expression = syn.CallExpr(None, expression.token, self._parse_arguments())
                     continue
@@ -837,17 +823,28 @@ class _Parser:
                     expression = syn.ConstructorDelegationExpr(expression.token, self._parse_arguments())
                     continue
                 raise self._fail("expression is not callable")
-            if token.text == "[":
-                self._advance()
+            if text == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect_text("]", "after array index")
                 expression = syn.IndexExpr(expression, index)
                 continue
-            if token.text in ("++", "--"):
-                self._advance()
-                expression = syn.UnaryExpr(token.text, expression, prefix=False)
+            if text in ("++", "--"):
+                self.pos += 1
+                expression = syn.UnaryExpr(text, expression, prefix=False)
                 continue
             return expression
+
+
+# Statements that open with one of these keywords, read by the handler.
+_STATEMENT_HANDLERS = {
+    "return": _Parser._parse_return,
+    "throw": _Parser._parse_throw,
+    "if": _Parser._parse_if,
+    "while": _Parser._parse_while,
+    "do": _Parser._parse_do_while,
+    "for": _Parser._parse_for,
+}
 
 
 def parse_compilation_unit(

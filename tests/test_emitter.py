@@ -152,3 +152,16 @@ def test_emit_is_deterministic(drawing_shapes_model, tmp_path):
     write_plan(plan_emission(summaries, COMBINED, first))
     write_plan(plan_emission(summaries, COMBINED, second))
     assert (first / "summary.txt").read_bytes() == (second / "summary.txt").read_bytes()
+
+
+def test_write_plan_removes_only_the_directories_it_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "blocked").write_text("in the way", encoding="utf-8")
+    planned = [
+        (tmp_path / "new" / "deeper" / "a.txt", "a\n"),
+        (tmp_path / "kept" / "b.txt", "b\n"),
+        (tmp_path / "blocked" / "c.txt", "c\n"),
+    ]
+    with pytest.raises(FileExistsError):
+        write_plan(planned)
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["blocked", "kept"]

@@ -1,5 +1,7 @@
 """Parse-tree shape, recovery behavior, and subset boundaries."""
 
+import hashlib
+
 import pytest
 
 from codesum import syntax as syn
@@ -7,6 +9,8 @@ from codesum.diagnostics import Severity, has_errors
 from codesum.lexer import tokenize
 from codesum.model import AccessLevel
 from codesum.parser import _MAX_NESTING, parse_compilation_unit
+
+from conftest import FIXTURES
 
 
 def _parse(source: str, strict: bool = True):
@@ -316,3 +320,56 @@ def test_nesting_limit_is_exact_and_restored_after_recovery():
     unit, diagnostics = _parse(source, strict=False)
     assert [cls.name.text for cls in unit.classes] == ["C"]
     assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # The cast lookahead reads two tokens past the end.
+        ("class A { void m() { x = (Foo", "1:27: {}: expected ')' after parenthesized expression, found end of file"),
+        # The cast lookahead reads one token past the end.
+        ("class A { void m() { x = (Foo)", "1:30: {}: expected ';' after expression, found end of file"),
+        ("class A { void m() { a instanceof", "1:24: {}: expected type after 'instanceof', found end of file"),
+        ("class A { void m() { foo.", "1:25: {}: expected identifier after '.', found end of file"),
+        ("class A { List<String", "1:16: {}: expected '>' closing generic arguments, found end of file"),
+    ],
+)
+def test_lookahead_past_the_end_of_file(source, message):
+    unit, diagnostics = _parse(source, strict=True)
+    assert unit is None
+    assert [str(d) for d in diagnostics] == ["Test.java:" + message.format("error")]
+    unit, diagnostics = _parse(source, strict=False)
+    assert unit.classes == []
+    suffix = " (skipping to next top-level declaration)"
+    assert [str(d) for d in diagnostics] == ["Test.java:" + message.format("warning") + suffix]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_empty_token_list_gives_an_empty_unit(strict):
+    unit, diagnostics = parse_compilation_unit([], "Test.java", strict)
+    assert unit == syn.CompilationUnit("Test.java")
+    assert diagnostics == []
+
+
+# sha256 over every parse below, recorded before the parser read a padded token array.
+_TRUNCATION_DIGEST = "46d275b439125ac470ab90b9988e80e2d3f47fedc4bfece451850ae9906f6dfd"
+
+
+def test_truncated_fixture_input_parses_as_recorded():
+    """Every token prefix and every single-token deletion of every fixture
+    file, in both modes: the trees and diagnostics hash to a recorded digest."""
+    digest = hashlib.sha256()
+    for path in sorted(FIXTURES.rglob("*.java")):
+        name = path.relative_to(FIXTURES).as_posix()
+        tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), name, True)
+        assert lex_diagnostics == []
+        prefixes = [tokens[:end] for end in range(len(tokens) + 1)]
+        deletions = [tokens[:index] + tokens[index + 1:] for index in range(len(tokens))]
+        for variant in prefixes + deletions:
+            for strict in (True, False):
+                unit, diagnostics = parse_compilation_unit(variant, name, strict)
+                digest.update(repr(unit).encode())
+                for diagnostic in diagnostics:
+                    digest.update(f"\n{diagnostic}".encode())
+                digest.update(b"\0")
+    assert digest.hexdigest() == _TRUNCATION_DIGEST
