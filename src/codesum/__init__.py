@@ -6,7 +6,7 @@ per class and per method from that model.
 """
 
 from .diagnostics import Diagnostic, Severity
-from .emitter import SummaryDocument, SummarySet, aggregate, summarize_project
+from .emitter import SummaryDocument, aggregate, summarize_project
 from .extractor import build_model, parse_project
 from .model import (
     AccessLevel,
@@ -19,7 +19,6 @@ from .model import (
     MethodInvocation,
     PackageDecl,
     ParameterDecl,
-    lookup_class,
     validate_model,
 )
 from .summarizer import (
@@ -53,13 +52,11 @@ __all__ = [
     "RenderingConfig",
     "Severity",
     "SummaryDocument",
-    "SummarySet",
     "aggregate",
     "build_model",
     "class_messages",
     "export_xml",
     "import_xml",
-    "lookup_class",
     "method_messages",
     "parse_project",
     "render_identifier",

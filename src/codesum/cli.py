@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import Diagnostic, Severity, error, has_errors
-from .emitter import COMBINED, PER_IDENTIFIER, SummarySet, plan_emission, summarize_project, write_plan
+from .emitter import COMBINED, PER_IDENTIFIER, SummaryDocument, plan_emission, summarize_project, write_plan
 from .extractor import parse_project
 from .model import CodeModel
 from .summarizer import RenderingConfig
@@ -149,7 +149,7 @@ def _run(config: RunConfig) -> int:
             if config.project_name is not None:
                 model = CodeModel(project_name=config.project_name, packages=model.packages)
 
-    summaries: SummarySet | None = None
+    summaries: tuple[SummaryDocument, ...] | None = None
     if model is not None and not has_errors(diagnostics):
         try:
             planned: list[tuple[Path, str]] = []

@@ -12,7 +12,6 @@ import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .model import CodeModel
 from .summarizer import RapidSummaryMessage, RenderingConfig, class_messages, method_messages
@@ -42,20 +41,6 @@ class SummaryDocument:
         return path
 
 
-@dataclass(frozen=True)
-class SummarySet:
-    """All documents for one project: each class first, then its methods."""
-
-    project_name: str
-    documents: tuple[SummaryDocument, ...]
-
-    def __iter__(self) -> Iterator[SummaryDocument]:
-        return iter(self.documents)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-
 def aggregate(messages: list[RapidSummaryMessage]) -> str:
     """Join message texts into one paragraph with single spaces."""
     if not messages:
@@ -63,8 +48,9 @@ def aggregate(messages: list[RapidSummaryMessage]) -> str:
     return " ".join(message.text for message in messages)
 
 
-def summarize_project(model: CodeModel, config: RenderingConfig) -> SummarySet:
-    """One document per class and per method, in model traversal order."""
+def summarize_project(model: CodeModel, config: RenderingConfig) -> tuple[SummaryDocument, ...]:
+    """One document per class and per method, in model traversal order: each
+    class first, then its methods."""
     documents: list[SummaryDocument] = []
     for package in model.packages:
         for cls in package.classes:
@@ -89,7 +75,7 @@ def summarize_project(model: CodeModel, config: RenderingConfig) -> SummarySet:
                         body=aggregate(method_messages(method, config)),
                     )
                 )
-    return SummarySet(project_name=model.project_name, documents=tuple(documents))
+    return tuple(documents)
 
 
 def _sanitize(component: str) -> str:
@@ -103,7 +89,7 @@ def _method_file_name(document: SummaryDocument, overloaded: bool) -> str:
     return _sanitize(name) + ".txt"
 
 
-def plan_emission(summaries: SummarySet, layout: str, out_dir: Path) -> list[tuple[Path, str]]:
+def plan_emission(summaries: tuple[SummaryDocument, ...], layout: str, out_dir: Path) -> list[tuple[Path, str]]:
     """Map every document to its target path and exact file content.
 
     Raises ValueError on an unknown layout or when two documents map to the
@@ -162,7 +148,7 @@ def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
     return [path for path, _ in planned]
 
 
-def _overloaded_method_names(summaries: SummarySet) -> set[tuple[str, str, str | None]]:
+def _overloaded_method_names(summaries: tuple[SummaryDocument, ...]) -> set[tuple[str, str, str | None]]:
     counts: dict[tuple[str, str, str | None], int] = {}
     for document in summaries:
         if document.subject_kind == "method":

@@ -14,13 +14,15 @@ names degrade to the ``unknown``/``external`` sentinels rather than failing.
 Statements are walked recursively and in order, because a local is in scope
 only after its declaration; an ``else if`` chain is walked in a loop.
 Expressions are walked with an explicit stack in any order, driven by the
-``_OPERANDS`` table; their events carry positions and are sorted afterwards,
-so no chain of calls or operators costs a stack frame.
+``_OPERANDS`` table; their events carry token indexes and are sorted by them
+afterwards, since index order is source order, so no chain of calls or
+operators costs a stack frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -70,10 +72,10 @@ class ResolutionContext:
 @dataclass
 class _Analysis:
     locals: list[LocalVariableDecl] = field(default_factory=list)
-    # (line, column, payload) events; sorted by position afterwards so that
-    # tree walk order never leaks into the output.
-    accesses: list[tuple[int, int, AttributeAccess]] = field(default_factory=list)
-    invocations: list[tuple[int, int, MethodInvocation]] = field(default_factory=list)
+    # (token index, payload) events; sorted by index afterwards so that tree
+    # walk order never leaks into the output.
+    accesses: list[tuple[int, AttributeAccess]] = field(default_factory=list)
+    invocations: list[tuple[int, MethodInvocation]] = field(default_factory=list)
 
 
 def analyze_method_body(
@@ -84,17 +86,11 @@ def analyze_method_body(
     if body is not None:
         _walk_statement(body, ctx, analysis)
 
-    accesses: list[AttributeAccess] = []
-    seen: set[str] = set()
-    for _, _, access in sorted(analysis.accesses, key=lambda item: (item[0], item[1])):
-        if access.name not in seen:
-            seen.add(access.name)
-            accesses.append(access)
-    invocations = [
-        invocation
-        for _, _, invocation in sorted(analysis.invocations, key=lambda item: (item[0], item[1]))
-    ]
-    return analysis.locals, accesses, invocations
+    first_accesses: dict[str, AttributeAccess] = {}
+    for _, access in sorted(analysis.accesses, key=itemgetter(0)):
+        first_accesses.setdefault(access.name, access)
+    invocations = [invocation for _, invocation in sorted(analysis.invocations, key=itemgetter(0))]
+    return analysis.locals, list(first_accesses.values()), invocations
 
 
 def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> None:
@@ -107,8 +103,8 @@ def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> N
                 _walk_expression(declarator.initializer, ctx, out)
             declared_type = stmt.type_text + declarator.extra_dims
             # The variable is in scope only after its own initializer.
-            ctx.locals[declarator.name.text] = declared_type
-            out.locals.append(LocalVariableDecl(declarator.name.text, declared_type))
+            ctx.locals[declarator.name] = declared_type
+            out.locals.append(LocalVariableDecl(declarator.name, declared_type))
     elif isinstance(stmt, syn.ExprStmt):
         _walk_expression(stmt.expression, ctx, out)
     elif isinstance(stmt, syn.ReturnStmt):
@@ -143,19 +139,18 @@ def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> N
         _walk_statement(stmt.body, ctx, out)
     elif isinstance(stmt, syn.ForEachStmt):
         _walk_expression(stmt.iterable, ctx, out)
-        ctx.locals[stmt.name.text] = stmt.type_text
-        out.locals.append(LocalVariableDecl(stmt.name.text, stmt.type_text))
+        ctx.locals[stmt.name] = stmt.type_text
+        out.locals.append(LocalVariableDecl(stmt.name, stmt.type_text))
         _walk_statement(stmt.body, ctx, out)
     # Break/Continue/Empty carry nothing.
 
 
-def _record_receiver_name(token: syn.Token, ctx: ResolutionContext, out: _Analysis) -> None:
-    resolved = ctx.resolve_variable(token.text)
-    if resolved is None and token.text in ctx.known_types:
+def _record_receiver_name(receiver: syn.NameExpr, ctx: ResolutionContext, out: _Analysis) -> None:
+    name = receiver.name
+    resolved = ctx.resolve_variable(name)
+    if resolved is None and name in ctx.known_types:
         return
-    out.accesses.append(
-        (token.line, token.column, AttributeAccess(token.text, resolved if resolved is not None else UNKNOWN_TYPE))
-    )
+    out.accesses.append((receiver.token, AttributeAccess(name, resolved if resolved is not None else UNKNOWN_TYPE)))
 
 
 def _receiver_type(receiver: syn.Expr | None, ctx: ResolutionContext) -> str:
@@ -168,11 +163,11 @@ def _receiver_type(receiver: syn.Expr | None, ctx: ResolutionContext) -> str:
     if isinstance(receiver, syn.NewExpr):
         return receiver.type_text
     if isinstance(receiver, syn.NameExpr):
-        resolved = ctx.resolve_variable(receiver.token.text)
+        resolved = ctx.resolve_variable(receiver.name)
         if resolved is not None:
             return resolved
-        if receiver.token.text in ctx.known_types:
-            return receiver.token.text
+        if receiver.name in ctx.known_types:
+            return receiver.name
     return EXTERNAL_RECEIVER
 
 
@@ -204,13 +199,11 @@ def _walk_expression(expr: syn.Expr, ctx: ResolutionContext, out: _Analysis) -> 
             receiver = node.receiver
             resolved = UNKNOWN_TYPE
             if isinstance(receiver, syn.ThisExpr):
-                resolved = ctx.fields.get(node.name.text, UNKNOWN_TYPE)
-            out.accesses.append((node.name.line, node.name.column, AttributeAccess(node.name.text, resolved)))
+                resolved = ctx.fields.get(node.name, UNKNOWN_TYPE)
+            out.accesses.append((node.token, AttributeAccess(node.name, resolved)))
         elif isinstance(node, syn.CallExpr):
             receiver = node.receiver
-            out.invocations.append(
-                (node.name.line, node.name.column, MethodInvocation(node.name.text, _receiver_type(receiver, ctx)))
-            )
+            out.invocations.append((node.token, MethodInvocation(node.name, _receiver_type(receiver, ctx))))
             stack.extend(node.arguments)
         elif isinstance(node, syn.ClassLiteralExpr):
             receiver = node.operand
@@ -222,7 +215,7 @@ def _walk_expression(expr: syn.Expr, ctx: ResolutionContext, out: _Analysis) -> 
         # A receiver that is a simple name is an access; None (no receiver)
         # walks to nothing.
         if isinstance(receiver, syn.NameExpr):
-            _record_receiver_name(receiver.token, ctx, out)
+            _record_receiver_name(receiver, ctx, out)
         else:
             stack.append(receiver)
 
@@ -245,7 +238,7 @@ def build_model(
     with an error diagnostic so the result always satisfies validate_model.
     """
     diagnostics: list[Diagnostic] = []
-    model_class_names = {cls.name.text for unit in units for cls in unit.classes}
+    model_class_names = {cls.name for unit in units for cls in unit.classes}
 
     package_classes: dict[str, list[ClassDecl]] = {}
     seen_classes: set[tuple[str, str]] = set()
@@ -254,19 +247,18 @@ def build_model(
         package_name = unit.package if unit.package is not None else DEFAULT_PACKAGE
         known_types = model_class_names | _import_simple_names(unit.imports)
         for cls in unit.classes:
-            key = (package_name, cls.name.text)
+            key = (package_name, cls.name)
             if key in seen_classes:
                 diagnostics.append(
                     error(
-                        f"duplicate class {cls.name.text!r} in package {package_name!r} (dropped)",
+                        f"duplicate class {cls.name!r} in package {package_name!r} (dropped)",
                         unit.file,
-                        cls.name.line,
-                        cls.name.column,
+                        *unit.positions.position(cls.token),
                     )
                 )
                 continue
             seen_classes.add(key)
-            declared = _build_class(cls, package_name, known_types, unit.file, diagnostics)
+            declared = _build_class(cls, package_name, known_types, unit, diagnostics)
             package_classes.setdefault(package_name, []).append(declared)
 
     model = CodeModel(
@@ -281,46 +273,41 @@ def _build_class(
     cls: syn.ClassSyntax,
     package_name: str,
     known_types: set[str],
-    file: str,
+    unit: syn.CompilationUnit,
     diagnostics: list[Diagnostic],
 ) -> ClassDecl:
     attributes: list[AttributeDecl] = []
     field_types: dict[str, str] = {}
     for field_syntax in cls.fields:
-        if field_syntax.name.text in field_types:
+        if field_syntax.name in field_types:
             diagnostics.append(
                 error(
-                    f"duplicate field {field_syntax.name.text!r} in class {cls.name.text!r} (dropped)",
-                    file,
-                    field_syntax.name.line,
-                    field_syntax.name.column,
+                    f"duplicate field {field_syntax.name!r} in class {cls.name!r} (dropped)",
+                    unit.file,
+                    *unit.positions.position(field_syntax.token),
                 )
             )
             continue
-        field_types[field_syntax.name.text] = field_syntax.type_text
-        attributes.append(
-            AttributeDecl(field_syntax.name.text, field_syntax.access_level, field_syntax.type_text)
-        )
+        field_types[field_syntax.name] = field_syntax.type_text
+        attributes.append(AttributeDecl(field_syntax.name, field_syntax.access_level, field_syntax.type_text))
 
     methods: list[MethodDecl] = []
     for method_syntax in cls.methods:
         ctx = ResolutionContext(
-            enclosing_class=cls.name.text,
+            enclosing_class=cls.name,
             superclass=cls.superclass,
             fields=dict(field_types),
-            parameters={param.name.text: param.type_text for param in method_syntax.parameters},
+            parameters={param.name: param.type_text for param in method_syntax.parameters},
             known_types=known_types,
         )
         locals_, accesses, invocations = analyze_method_body(method_syntax.body, ctx)
         methods.append(
             MethodDecl(
-                name=method_syntax.name.text,
+                name=method_syntax.name,
                 access_level=method_syntax.access_level,
                 return_type=method_syntax.return_type,
-                declared_class=cls.name.text,
-                parameters=tuple(
-                    ParameterDecl(param.name.text, param.type_text) for param in method_syntax.parameters
-                ),
+                declared_class=cls.name,
+                parameters=tuple(ParameterDecl(param.name, param.type_text) for param in method_syntax.parameters),
                 local_variables=tuple(locals_),
                 attribute_accesses=tuple(accesses),
                 method_invocations=tuple(invocations),
@@ -328,7 +315,7 @@ def _build_class(
         )
 
     return ClassDecl(
-        name=cls.name.text,
+        name=cls.name,
         access_level=cls.access_level,
         declared_package=package_name,
         superclass=cls.superclass,

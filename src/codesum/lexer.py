@@ -1,26 +1,37 @@
-"""Master-regex scanner for the supported source grammar.
+"""Two-path scanner for the supported source grammar.
 
-One compiled alternation of named groups is matched at the current
-position. Each match consumes any whitespace and comments, then exactly one
-token, unterminated construct or illegal character; the group that matched
-names what was found. Comments and whitespace are discarded; every surviving
-token carries its 1-based line and column so later stages can report
-positions and restore source order. Lines are counted only inside the
-whitespace, comment and literal spans a match consumed; a column counts
-characters, so a tab is one column.
+``tokenize`` returns ``Tokens``: the token texts in source order; a token's
+kind is derived from its text, and its position is a token index that
+``Positions`` turns into a 1-based line and column only when asked, from
+token offsets and line starts built on first use (as ``File.Position`` does
+in Go's ``go/token``). A line ends at ``\\n``; a column counts characters.
 
-Names and numbers keep the ``str`` predicates' Unicode semantics:
-``str.isalpha`` or ``_$`` starts a name, ``str.isalnum`` or ``_$`` continues
-one (exactly ``[\\w$]``), and ``str.isdigit`` drives numbers. No regex class
-equals ``isalpha`` or ``isdigit``, so tokens starting with a non-ASCII
-character, and numbers followed closely by one, take a per-character path.
+Fast path: an ASCII source is split by one ``findall`` over ``_TEXTS``. On a
+clean file its texts are exactly the exact path's; a lexical problem leaves a
+text of ``_PROBLEMS`` (``/*`` of an unclosed comment, or a lone illegal
+character or quote), and the file is scanned again on the exact path. The
+token offsets of a clean file come from one rescan with ``_SPANS``, if ever.
+
+Exact path: ``_MASTER`` is matched at the current position. Each match
+consumes whitespace and comments, then one token, unterminated construct or
+illegal character; the group that matched names what was found. Names and
+numbers keep the ``str`` predicates' Unicode semantics: ``str.isalpha`` or
+``_$`` starts a name, ``str.isalnum`` or ``_$`` continues one (exactly
+``[\\w$]``), and ``str.isdigit`` drives numbers. No regex class equals
+``isalpha`` or ``isdigit``, so tokens starting with a non-ASCII character,
+and numbers followed closely by one, take a per-character path.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from enum import Enum
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import accumulate, chain
+from string import ascii_letters, digits
+from typing import Sequence
 
 from .diagnostics import Diagnostic, error, warning
 
@@ -30,13 +41,6 @@ class TokenKind(Enum):
     KEYWORD = "keyword"
     PUNCTUATION = "punctuation"
     LITERAL = "literal"
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
 
 
 KEYWORDS = frozenset(
@@ -61,31 +65,56 @@ _OPERATORS = (
     ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "@",
 )
 
+_KINDS = {
+    **dict.fromkeys(_OPERATORS, TokenKind.PUNCTUATION),
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+}
+
+
+@lru_cache(maxsize=4096)  # the parser asks again and again about the same names
+def token_kind(text: str) -> TokenKind | None:
+    """The kind of a token with this text; None for the empty text past the end."""
+    if text in _KINDS or not text:
+        return _KINDS.get(text)
+    return TokenKind.LITERAL if text[0] in "\"'" or text[0].isdigit() else TokenKind.IDENTIFIER
+
 
 def _literal(quote: str) -> str:
     """A quoted literal's body: a backslash escapes any next character, even a newline."""
     return rf"{quote}[^{quote}\\\n]*(?:\\[\s\S][^{quote}\\\n]*)*"
 
 
+_SKIP = r"(?:[ \t\r\n\f]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+_WORD = r"[A-Za-z_$][\w$]*"
+_OPERATOR = "|".join(re.escape(op) for op in _OPERATORS)
+_NUMBER = r"0[xX][0-9a-fA-F]*[lLfFdD]?|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[lLfFdD]?"
+_LITERAL = rf"""{_literal('"')}"|{_literal("'")}'"""
+
 # Group 1 is the whitespace and comments before the token. Every other
 # group is named, and exactly one of them matches. ``other`` takes any
 # character no earlier group starts with, and ``end`` matches only after
 # trailing whitespace, so a match never fails or backtracks into group 1.
 _MASTER = re.compile(
-    rf"""
-    ((?:[ \t\r\n\f]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*)
-    (?:(?P<word>[A-Za-z_$][\w$]*)
+    rf"""({_SKIP})
+    (?:(?P<word>{_WORD})
     |(?P<open_comment>/\*)
-    |(?P<operator>{"|".join(re.escape(op) for op in _OPERATORS)})
-    |(?P<number>0[xX][0-9a-fA-F]*[lLfFdD]?|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[lLfFdD]?)
-    |(?P<literal>{_literal('"')}"|{_literal("'")}')
+    |(?P<operator>{_OPERATOR})
+    |(?P<number>{_NUMBER})
+    |(?P<literal>{_LITERAL})
     |(?P<open_string>{_literal('"')}\\?)
     |(?P<open_character>{_literal("'")}\\?)
     |(?P<other>[\s\S])
-    |(?P<end>\Z))
-    """,
+    |(?P<end>\Z))""",
     re.VERBOSE,
 )
+
+# The fast path's token: the clean tokens in ``_MASTER``'s order, then any
+# other non-blank character, then the end (which keeps a match from
+# backtracking into the skipped text, as ``end`` does above).
+_TOKEN = rf"{_WORD}|/\*|{_OPERATOR}|{_NUMBER}|{_LITERAL}|[^ \t\r\n\f]|\Z"
+_TEXTS = re.compile(rf"{_SKIP}({_TOKEN})")
+_SPANS = re.compile(rf"({_SKIP})({_TOKEN})")
+_PROBLEMS = frozenset(map(chr, range(128))).difference(_OPERATORS, ascii_letters, digits, "_$") | {"/*"}
 
 _NAME_PART = re.compile(r"[\w$]*")
 
@@ -94,6 +123,58 @@ _UNTERMINATED = {
     "open_character": "unterminated character literal",
     "open_comment": "unterminated block comment",
 }
+
+
+class Positions:
+    """1-based ``(line, column)`` of a token index or a source offset."""
+
+    __slots__ = ("source", "_starts", "_lines")
+
+    def __init__(self, source: str, starts: Sequence[int] | None = None):
+        self.source, self._starts, self._lines = source, starts, None
+
+    def offset(self, index: int) -> int:
+        if self._starts is None:
+            self._starts = _token_starts(self.source)
+        return self._starts[index]
+
+    def position(self, index: int) -> tuple[int, int]:
+        return self.locate(self.offset(index))
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        if self._lines is None:
+            self._lines = _line_starts(self.source)
+        line = bisect_right(self._lines, offset)
+        return line, offset - self._lines[line - 1] + 1
+
+
+def _token_starts(source: str) -> array:
+    """A clean ASCII source's token offsets: running sums of the lengths of
+    the skipped text and the token of each ``_SPANS`` match."""
+    return array("q", accumulate(map(len, chain.from_iterable(_SPANS.findall(source)))))[::2]
+
+
+def _line_starts(source: str) -> list[int]:
+    """The offset of each line's first character, then one past the end."""
+    return list(accumulate(map(len, source.split("\n")), lambda start, length: start + length + 1, initial=0))
+
+
+class Tokens:
+    """One file's token ``texts``, and each token's kind and position by index."""
+
+    __slots__ = ("texts", "positions")
+
+    def __init__(self, texts: list[str], positions: Positions):
+        self.texts, self.positions = texts, positions
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def kind(self, index: int) -> TokenKind | None:
+        return token_kind(self.texts[index])
+
+    def position(self, index: int) -> tuple[int, int]:
+        return self.positions.position(index)
 
 
 def _number_end(source: str, pos: int) -> int:
@@ -125,65 +206,55 @@ def _number_end(source: str, pos: int) -> int:
 
 def tokenize(
     source: str, file: str = "<source>", strict: bool = True
-) -> tuple[list[Token], list[Diagnostic]]:
+) -> tuple[Tokens, list[Diagnostic]]:
     """Split ``source`` into tokens.
 
     In strict mode the first lexical problem is reported as an error and
     scanning stops; in lenient mode it is reported as a warning and scanning
     resumes past the offending text.
     """
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without the Python frame of Token.__new__
-    match = _MASTER.match
-    identifier, keyword, punctuation, literal = (
-        TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCTUATION, TokenKind.LITERAL
-    )
-    pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-    counted = 0  # newlines before this offset are in ``line``
+    if source.isascii():
+        texts = _TEXTS.findall(source)
+        if _PROBLEMS.isdisjoint(texts):
+            texts.pop()  # the end of the input
+            if texts and not texts[-1]:
+                texts.pop()  # matched once more after trailing whitespace
+            return Tokens(texts, Positions(source)), []
+    return _scan(source, file, strict)
 
+
+def _scan(source: str, file: str, strict: bool) -> tuple[Tokens, list[Diagnostic]]:
+    """The exact path: one ``_MASTER`` match per token, problem or end."""
+    texts: list[str] = []
+    starts = array("q")  # a unit keeps its offsets: 8 bytes each, not an int object
+    positions = Positions(source, starts)
+    diagnostics: list[Diagnostic] = []
+    add_text, add_start = texts.append, starts.append
+    match = _MASTER.match
+    pos = 0
     while True:
         found = match(source, pos)
         start = found.end(1)
-        # Only skipped text and the previous token, if a literal, hold newlines.
-        newline = source.rfind("\n", counted, start)
-        if newline >= 0:
-            line += source.count("\n", counted, start)
-            line_start = newline + 1
-        counted = start
-        column = start - line_start + 1
         pos = found.end()
         group = found.lastgroup
-
-        if group == "word":
-            text = source[start:pos]
-            append(new(Token, (keyword if text in KEYWORDS else identifier, text, line, column)))
-        elif group == "operator":
-            append(new(Token, (punctuation, source[start:pos], line, column)))
-        elif group == "number":
-            if not source[pos : pos + 3].isascii():  # a non-ASCII digit in reach may extend it
-                pos = _number_end(source, start)
-            append(new(Token, (literal, source[start:pos], line, column)))
-        elif group == "literal":
-            append(new(Token, (literal, source[start:pos], line, column)))
-        elif group == "end":
-            break
+        if group == "number" and not source[pos : pos + 3].isascii():
+            pos = _number_end(source, start)  # a non-ASCII digit in reach may extend it
         elif group == "other" and source[start].isalpha():
             pos = _NAME_PART.match(source, pos).end()
-            append(new(Token, (identifier, source[start:pos], line, column)))
         elif group == "other" and source[start].isdigit():
             pos = _number_end(source, start)
-            append(new(Token, (literal, source[start:pos], line, column)))
-        else:
+        elif group == "end":
+            break
+        elif group == "other" or group in _UNTERMINATED:
             message = _UNTERMINATED.get(group) or f"illegal character {source[start]!r}"
+            line, column = positions.locate(start)
             if strict:
                 diagnostics.append(error(message, file, line, column))
                 break
             diagnostics.append(warning(message, file, line, column))
             if group == "open_comment":
                 break  # an unclosed comment runs to the end of the file
-
-    return tokens, diagnostics
+            continue
+        add_text(source[start:pos])
+        add_start(start)
+    return Tokens(texts, positions), diagnostics

@@ -135,16 +135,6 @@ class CodeModel:
         _freeze(self, packages=self.packages)
 
 
-def lookup_class(model: CodeModel, package: str, class_name: str) -> ClassDecl | None:
-    """Find a class by package and simple name; None when absent."""
-    for pkg in model.packages:
-        if pkg.name == package:
-            for cls in pkg.classes:
-                if cls.name == class_name:
-                    return cls
-    return None
-
-
 def validate_model(model: CodeModel) -> list[Diagnostic]:
     """Check structural invariants; one diagnostic per violation, empty when sound."""
     problems: list[Diagnostic] = []

@@ -14,10 +14,12 @@ statements, expressions within expressions, binary right operands, array
 initializers) counts towards ``_MAX_NESTING``; input nested deeper is a syntax
 problem, so no input can exhaust the interpreter's stack.
 
-Tokens are read by index from a padded array: ``self.tokens`` and its
-parallel ``self.texts`` run two entries past the last token, as ``None`` and
-``""``, so any lookahead reads past the end without a bounds check and finds
-"no token" there.
+Tokens are read by index from the file's ``Tokens.texts``. For the length
+of a parse that list runs two entries past the last token, as ``""``, so any
+lookahead reads past the end without a bounds check and finds "no token"
+there. A token's kind is derived from its text where a rule needs it. Nodes
+and failures carry token indexes; an index becomes a line and column only
+when a diagnostic is made.
 
 Strict mode stops at the first syntax problem in a file; lenient mode records
 it as a warning and resumes at the next top-level declaration.
@@ -26,7 +28,7 @@ it as a warning and resumes at the next top-level declaration.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, error, warning
-from .lexer import PRIMITIVE_TYPES, Token, TokenKind
+from .lexer import KEYWORDS, PRIMITIVE_TYPES, Positions, Tokens, TokenKind, token_kind
 from .model import AccessLevel
 from . import syntax as syn
 
@@ -82,30 +84,34 @@ _CAST_TYPE_STOPS = frozenset([";", "{", "}"])
 _MAX_NESTING = 100
 _INSTANCEOF_PRECEDENCE = _BINARY_PRECEDENCE["instanceof"]
 
+_IDENTIFIER = TokenKind.IDENTIFIER
+
+# Tokens after a parenthesized name that make it a cast, besides names and literals.
+_CAST_OPERAND_STARTS = frozenset(["this", "super", "new", *_LITERAL_KEYWORDS, "(", "!", "~"])
+
 
 class _ParseFailure(Exception):
-    def __init__(self, message: str, line: int, column: int):
+    """A syntax problem at token index ``token``; -1 when the file has no tokens."""
+
+    def __init__(self, message: str, token: int):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.column = column
+        self.token = token
 
 
-def _append_type_text(buffer: str, token: Token) -> str:
-    if token.text == ",":
+def _append_type_text(buffer: str, text: str) -> str:
+    if text == ",":
         return buffer + ", "
-    word = token.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL)
-    if word and buffer and buffer[-1] not in "<.( ":
-        return buffer + " " + token.text
-    return buffer + token.text
+    if buffer and buffer[-1] not in "<.( " and token_kind(text) is not TokenKind.PUNCTUATION:
+        return buffer + " " + text
+    return buffer + text
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, strict: bool):
-        # Two pads: a cast lookahead reads the token after a type ending the file.
-        self.tokens: list[Token | None] = [*tokens, None, None]
-        self.texts = [token.text for token in tokens] + ["", ""]
-        self.end = len(tokens)
+    def __init__(self, texts: list[str], end: int, positions: Positions, file: str, strict: bool):
+        self.texts = texts  # padded past ``end`` by parse_compilation_unit
+        self.end = end
+        self.positions = positions
         self.file = file
         self.strict = strict
         self.pos = 0
@@ -117,17 +123,12 @@ class _Parser:
     # ------------------------------------------------------------------
     # token plumbing
 
-    def _kind_at(self, index: int) -> TokenKind | None:
-        token = self.tokens[index]
-        return token.kind if token is not None else None
-
     def _at_end(self) -> bool:
         return self.pos >= self.end
 
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
+    def _advance(self) -> int:
         self.pos += 1
-        return token
+        return self.pos - 1
 
     def _check(self, text: str) -> bool:
         return self.texts[self.pos] == text
@@ -138,39 +139,38 @@ class _Parser:
             return True
         return False
 
-    def _failure_position(self) -> tuple[int, int]:
-        # With no tokens at all, ``end - 1`` indexes the last pad.
-        token = self.tokens[self.pos] or self.tokens[self.end - 1]
-        if token is None:
-            return 1, 1
-        return token.line, token.column
+    def _failure_token(self) -> int:
+        """The current token, or past the end the last one (-1 when there are none)."""
+        return self.pos if self.pos < self.end else self.end - 1
 
     def _fail(self, message: str) -> _ParseFailure:
-        line, column = self._failure_position()
-        found = self.tokens[self.pos]
-        detail = f"{message}, found {found.text!r}" if found is not None else f"{message}, found end of file"
-        return _ParseFailure(detail, line, column)
+        found = self.texts[self.pos]
+        detail = f"{message}, found {found!r}" if found else f"{message}, found end of file"
+        return _ParseFailure(detail, self._failure_token())
 
-    def _expect_text(self, text: str, context: str) -> Token:
+    def _expect_text(self, text: str, context: str) -> int:
         if self.texts[self.pos] != text:
             raise self._fail(f"expected {text!r} {context}")
         return self._advance()
 
-    def _expect_identifier(self, context: str) -> Token:
-        token = self.tokens[self.pos]
-        if token is None or token.kind is not TokenKind.IDENTIFIER:
+    def _expect_identifier(self, context: str) -> int:
+        if token_kind(self.texts[self.pos]) is not _IDENTIFIER:
             raise self._fail(f"expected identifier {context}")
-        self.pos += 1
-        return token
+        return self._advance()
 
-    def _warn_at(self, message: str, token: Token) -> None:
-        self.diagnostics.append(warning(message, self.file, token.line, token.column))
+    def _diagnostic(self, make, message: str, token: int) -> Diagnostic:
+        """``make`` (``error`` or ``warning``) at token index ``token``; -1 means 1:1."""
+        line, column = self.positions.position(token) if token >= 0 else (1, 1)
+        return make(message, self.file, line, column)
+
+    def _warn_at(self, message: str, token: int) -> None:
+        self.diagnostics.append(self._diagnostic(warning, message, token))
 
     def __enter__(self) -> None:
         """``with self:`` spans one nesting level; the level past ``_MAX_NESTING``
         fails at the current token."""
         if self.depth == _MAX_NESTING:
-            raise _ParseFailure("nesting too deep", *self._failure_position())
+            raise _ParseFailure("nesting too deep", self._failure_token())
         self.depth += 1
 
     def __exit__(self, *exc_info: object) -> None:
@@ -180,7 +180,7 @@ class _Parser:
     # compilation unit
 
     def parse_unit(self) -> tuple[syn.CompilationUnit | None, list[Diagnostic]]:
-        unit = syn.CompilationUnit(self.file)
+        unit = syn.CompilationUnit(self.file, self.positions)
         try:
             self._skip_annotations()
             if self._check("package"):
@@ -213,15 +213,14 @@ class _Parser:
                 if self._match(";"):
                     continue
                 access = self._parse_modifiers()
-                token = self.tokens[self.pos]
-                if token is None:
+                text = self.texts[self.pos]
+                if not text:
                     break
-                if token.text == "class":
+                if text == "class":
                     self._advance()
                     unit.classes.append(self._parse_class(access))
-                elif token.text in ("interface", "enum"):
-                    self._warn_at(f"unsupported construct: {token.text} declaration (skipped)", token)
-                    self._advance()
+                elif text in ("interface", "enum"):
+                    self._warn_at(f"unsupported construct: {text} declaration (skipped)", self._advance())
                     self._skip_declaration_with_body()
                 else:
                     raise self._fail("expected class declaration")
@@ -237,12 +236,11 @@ class _Parser:
     def _handle_failure(self, failure: _ParseFailure) -> bool:
         """Record a syntax problem; True means parsing may continue."""
         if self.strict:
-            self.diagnostics.append(error(failure.message, self.file, failure.line, failure.column))
-            return False
-        self.diagnostics.append(
-            warning(f"{failure.message} (skipping to next top-level declaration)", self.file, failure.line, failure.column)
-        )
-        return True
+            self.diagnostics.append(self._diagnostic(error, failure.message, failure.token))
+        else:
+            message = f"{failure.message} (skipping to next top-level declaration)"
+            self.diagnostics.append(self._diagnostic(warning, message, failure.token))
+        return not self.strict
 
     def _synchronize_top_level(self) -> None:
         depth = 0
@@ -262,8 +260,7 @@ class _Parser:
 
     def _skip_annotations(self) -> None:
         while self._check("@"):
-            at_token = self._advance()
-            self._warn_at("unsupported construct: annotation (skipped)", at_token)
+            self._warn_at("unsupported construct: annotation (skipped)", self._advance())
             self._expect_identifier("after '@'")
             while self._match("."):
                 self._expect_identifier("in annotation name")
@@ -279,17 +276,18 @@ class _Parser:
         return access if access is not None else AccessLevel.PACKAGE_PRIVATE
 
     def _parse_qualified_name(self, context: str) -> str:
-        parts = [self._expect_identifier(context).text]
-        while self._check(".") and self._kind_at(self.pos + 1) is TokenKind.IDENTIFIER:
-            self.pos += 1
-            parts.append(self._advance().text)
+        texts = self.texts
+        parts = [texts[self._expect_identifier(context)]]
+        while texts[self.pos] == "." and token_kind(texts[self.pos + 1]) is _IDENTIFIER:
+            parts.append(texts[self.pos + 1])
+            self.pos += 2
         return ".".join(parts)
 
     def _parse_type(self, context: str) -> str:
-        token = self.tokens[self.pos]
-        if token is not None and (token.text in PRIMITIVE_TYPES or token.text == "void"):
-            text = self._advance().text
-        elif token is not None and token.kind is TokenKind.IDENTIFIER:
+        text = self.texts[self.pos]
+        if text in PRIMITIVE_TYPES or text == "void":
+            self.pos += 1
+        elif token_kind(text) is _IDENTIFIER:
             text = self._parse_qualified_name(context)
         else:
             raise self._fail(f"expected type {context}")
@@ -311,8 +309,8 @@ class _Parser:
             self.pos = end
             problem = "expected '>' closing" if self._at_end() else "unbalanced '>' in"
             raise self._fail(f"{problem} generic arguments")
-        for token in self.tokens[self.pos:end]:
-            text = _append_type_text(text, token)
+        for token_text in self.texts[self.pos:end]:
+            text = _append_type_text(text, token_text)
         self.pos = end
         return text
 
@@ -344,10 +342,8 @@ class _Parser:
         depth = 1
         while depth > 0:
             if self._at_end():
-                raise _ParseFailure(
-                    f"unexpected end of file, unclosed {opener!r}", open_token.line, open_token.column
-                )
-            text = self._advance().text
+                raise _ParseFailure(f"unexpected end of file, unclosed {opener!r}", open_token)
+            text = self.texts[self._advance()]
             if text == opener:
                 depth += 1
             elif text == closer:
@@ -369,9 +365,9 @@ class _Parser:
 
     def _parse_class(self, access: AccessLevel) -> syn.ClassSyntax:
         name = self._expect_identifier("after 'class'")
-        cls = syn.ClassSyntax(name=name, access_level=access)
+        cls = syn.ClassSyntax(self.texts[name], name, access)
         if self._check("<"):
-            self._warn_at("unsupported construct: generic type parameters (skipped)", self.tokens[self.pos])  # type: ignore[arg-type]
+            self._warn_at("unsupported construct: generic type parameters (skipped)", self.pos)
             self._consume_generic_arguments("")
         if self._match("extends"):
             cls.superclass = self._parse_type("after 'extends'")
@@ -382,7 +378,7 @@ class _Parser:
         self._expect_text("{", "to open class body")
         while not self._check("}"):
             if self._at_end():
-                raise _ParseFailure(f"unexpected end of file in class {name.text!r}", name.line, name.column)
+                raise _ParseFailure(f"unexpected end of file in class {cls.name!r}", name)
             self._parse_member(cls)
         self._expect_text("}", "to close class body")
         return cls
@@ -392,21 +388,21 @@ class _Parser:
         if self._match(";"):
             return
         access = self._parse_modifiers()
-        token = self.tokens[self.pos]
-        if token is None:
+        text = self.texts[self.pos]
+        if not text:
             raise self._fail("unexpected end of file in class body")
-        if token.text == "{":
-            self._warn_at("unsupported construct: initializer block (skipped)", token)
+        if text == "{":
+            self._warn_at("unsupported construct: initializer block (skipped)", self.pos)
             self._skip_balanced("{", "}")
             return
-        if token.text in ("class", "interface", "enum"):
-            self._warn_at(f"unsupported construct: nested {token.text} (skipped)", token)
-            self._advance()
+        if text in ("class", "interface", "enum"):
+            self._warn_at(f"unsupported construct: nested {text} (skipped)", self._advance())
             self._skip_declaration_with_body()
             return
-        if token.kind is TokenKind.IDENTIFIER and token.text == cls.name.text and self.texts[self.pos + 1] == "(":
+        # The class name is an identifier, so a token with its text is one too.
+        if text == cls.name and self.texts[self.pos + 1] == "(":
             name = self._advance()
-            cls.methods.append(self._parse_method(name, access, cls.name.text, is_constructor=True))
+            cls.methods.append(self._parse_method(name, access, cls.name, is_constructor=True))
             return
         type_text = self._parse_type("for member declaration")
         name = self._expect_identifier("for member name")
@@ -417,22 +413,24 @@ class _Parser:
             self._expect_text(";", "after field declaration")
             for declarator in declaration.declarators:
                 cls.fields.append(
-                    syn.FieldSyntax(declarator.name, access, type_text + declarator.extra_dims, declarator.initializer)
+                    syn.FieldSyntax(
+                        declarator.name, declarator.token, access, type_text + declarator.extra_dims, declarator.initializer
+                    )
                 )
 
     def _parse_method(
-        self, name: Token, access: AccessLevel, return_type: str, is_constructor: bool
+        self, name: int, access: AccessLevel, return_type: str, is_constructor: bool
     ) -> syn.MethodSyntax:
-        method = syn.MethodSyntax(
-            name=name, access_level=access, return_type=return_type, is_constructor=is_constructor
-        )
+        method = syn.MethodSyntax(self.texts[name], name, access, return_type, is_constructor)
         self._expect_text("(", "to open parameter list")
         if not self._check(")"):
             while True:
                 self._match("final")
                 param_type = self._parse_type("for parameter")
                 param_name = self._expect_identifier("for parameter name")
-                method.parameters.append(syn.ParamSyntax(name=param_name, type_text=param_type + self._parse_dims()))
+                method.parameters.append(
+                    syn.ParamSyntax(self.texts[param_name], param_name, param_type + self._parse_dims())
+                )
                 if not self._match(","):
                     break
         self._expect_text(")", "to close parameter list")
@@ -458,33 +456,33 @@ class _Parser:
         return block
 
     def _parse_statement(self) -> syn.Stmt:
-        token = self.tokens[self.pos]
-        if token is None:
+        text = self.texts[self.pos]
+        if not text:
             raise self._fail("expected statement")
         with self:
-            if token.text == "{":
+            if text == "{":
                 return self._parse_block()
-            if token.text == ";":
+            if text == ";":
                 self._advance()
                 return syn.EmptyStmt()
-            if token.kind is TokenKind.KEYWORD:
-                handler = _STATEMENT_HANDLERS.get(token.text)
+            if text in KEYWORDS:
+                handler = _STATEMENT_HANDLERS.get(text)
                 if handler is not None:
                     return handler(self)
-                if token.text in ("break", "continue"):
+                if text in ("break", "continue"):
                     self._advance()
-                    self._expect_text(";", f"after {token.text!r}")
-                    return syn.BreakStmt() if token.text == "break" else syn.ContinueStmt()
-                if token.text == "final":
+                    self._expect_text(";", f"after {text!r}")
+                    return syn.BreakStmt() if text == "break" else syn.ContinueStmt()
+                if text == "final":
                     if self._looks_like_local_declaration(self.pos + 1):
                         self._advance()
                         return self._parse_local_declaration()
                     raise self._fail("expected declaration after 'final'")
-                if token.text in PRIMITIVE_TYPES:
+                if text in PRIMITIVE_TYPES:
                     return self._parse_local_declaration()
-                if token.text in ("this", "super", "new") or token.text in _LITERAL_KEYWORDS:
+                if text in ("this", "super", "new") or text in _LITERAL_KEYWORDS:
                     return self._parse_expression_statement()
-                raise self._fail(f"unsupported statement {token.text!r}")
+                raise self._fail(f"unsupported statement {text!r}")
             if self._looks_like_local_declaration(self.pos):
                 return self._parse_local_declaration()
             return self._parse_expression_statement()
@@ -559,7 +557,7 @@ class _Parser:
                 if self._match(":"):
                     iterable = self._parse_expression()
                     self._expect_text(")", "after for-each iterable")
-                    return syn.ForEachStmt(type_text, name, iterable, self._parse_statement())
+                    return syn.ForEachStmt(type_text, self.texts[name], name, iterable, self._parse_statement())
                 init = self._parse_declarator_list(type_text, name)
                 self._expect_text(";", "after for initializer")
             else:
@@ -588,16 +586,15 @@ class _Parser:
         generic arguments or ``[]``) rules out an expression, or None when no
         type starts there or its generic arguments hold a token from ``stops``.
         """
-        token = self.tokens[index]
-        if token is None:
-            return None
-        if token.kind is TokenKind.KEYWORD and token.text in PRIMITIVE_TYPES:
+        texts = self.texts
+        text = texts[index]
+        if text in PRIMITIVE_TYPES:
             definite = True
             index += 1
-        elif token.kind is TokenKind.IDENTIFIER:
+        elif token_kind(text) is _IDENTIFIER:
             definite = False
             index += 1
-            while self.texts[index] == "." and self._kind_at(index + 1) is TokenKind.IDENTIFIER:
+            while texts[index] == "." and token_kind(texts[index + 1]) is _IDENTIFIER:
                 index += 2
             if self.texts[index] == "<":
                 definite = True
@@ -615,7 +612,7 @@ class _Parser:
         scanned = self._scan_type(index, _DECLARATION_TYPE_STOPS)
         if scanned is None:
             return False
-        return self._kind_at(scanned[0]) is TokenKind.IDENTIFIER
+        return token_kind(self.texts[scanned[0]]) is _IDENTIFIER
 
     def _parse_local_declaration(self) -> syn.LocalDeclStmt:
         type_text = self._parse_type("in declaration")
@@ -625,7 +622,7 @@ class _Parser:
         return declaration
 
     def _parse_declarator_list(
-        self, type_text: str, first_name: Token, context: str = "declaration"
+        self, type_text: str, first_name: int, context: str = "declaration"
     ) -> syn.LocalDeclStmt:
         declaration = syn.LocalDeclStmt(type_text=type_text, declarators=[])
         name = first_name
@@ -634,7 +631,7 @@ class _Parser:
             initializer = None
             if self._match("="):
                 initializer = self._parse_variable_initializer()
-            declaration.declarators.append(syn.Declarator(name=name, initializer=initializer, extra_dims=dims))
+            declaration.declarators.append(syn.Declarator(self.texts[name], name, initializer, dims))
             if self._match(","):
                 name = self._expect_identifier(f"after ',' in {context}")
                 continue
@@ -731,38 +728,34 @@ class _Parser:
         if scanned is None:
             return False
         index, definite = scanned
-        operand = self.tokens[index + 1]
-        if self.texts[index] != ")" or operand is None:
+        operand = self.texts[index + 1]
+        if self.texts[index] != ")" or not operand:
             return False
-        if definite:
+        if definite or operand in _CAST_OPERAND_STARTS:
             return True
-        if operand.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL):
-            return True
-        if operand.kind is TokenKind.KEYWORD and operand.text in ("this", "super", "new", "true", "false", "null"):
-            return True
-        return operand.text in ("(", "!", "~")
+        kind = token_kind(operand)
+        return kind is _IDENTIFIER or kind is TokenKind.LITERAL
 
     def _parse_primary(self) -> syn.Expr:
-        token = self.tokens[self.pos]
-        if token is None:
-            raise self._fail("expected expression")
-        if token.kind is TokenKind.LITERAL or token.text in _LITERAL_KEYWORDS:
+        text = self.texts[self.pos]
+        kind = token_kind(text)
+        if kind is _IDENTIFIER:
+            return syn.NameExpr(text, self._advance())
+        if kind is TokenKind.LITERAL or text in _LITERAL_KEYWORDS:
             return syn.LiteralExpr(self._advance())
-        if token.kind is TokenKind.IDENTIFIER:
-            return syn.NameExpr(self._advance())
-        if token.kind is TokenKind.KEYWORD:
-            if token.text == "this":
+        if kind is TokenKind.KEYWORD:
+            if text == "this":
                 return syn.ThisExpr(self._advance())
-            if token.text == "super":
+            if text == "super":
                 return syn.SuperExpr(self._advance())
-            if token.text == "new":
+            if text == "new":
                 return self._parse_creator()
-            if token.text in PRIMITIVE_TYPES or token.text == "void":
+            if text in PRIMITIVE_TYPES or text == "void":
                 keyword = self._advance()
                 self._expect_text(".", "after primitive type in expression")
                 self._expect_text("class", "after '.'")
                 return syn.ClassLiteralExpr(None, keyword)
-        if token.text == "(":
+        if text == "(":
             self._advance()
             inner = self._parse_expression()
             self._expect_text(")", "after parenthesized expression")
@@ -775,7 +768,7 @@ class _Parser:
         if self._check("("):
             arguments = self._parse_arguments()
             if self._check("{"):
-                self._warn_at("unsupported construct: anonymous class body (skipped)", self.tokens[self.pos])  # type: ignore[arg-type]
+                self._warn_at("unsupported construct: anonymous class body (skipped)", self.pos)
                 self._skip_balanced("{", "}")
             return syn.NewExpr(type_text, arguments, new_token)
         if self._check("[") or self._check("{"):
@@ -805,19 +798,19 @@ class _Parser:
             text = self.texts[self.pos]
             if text == ".":
                 if self.texts[self.pos + 1] == "class":
-                    expression = syn.ClassLiteralExpr(expression, self.tokens[self.pos + 1])
+                    expression = syn.ClassLiteralExpr(expression, self.pos + 1)
                     self.pos += 2
                     continue
                 self.pos += 1
                 name = self._expect_identifier("after '.'")
                 if self._check("("):
-                    expression = syn.CallExpr(expression, name, self._parse_arguments())
+                    expression = syn.CallExpr(expression, self.texts[name], name, self._parse_arguments())
                 else:
-                    expression = syn.FieldSelectExpr(expression, name)
+                    expression = syn.FieldSelectExpr(expression, self.texts[name], name)
                 continue
             if text == "(":
                 if isinstance(expression, syn.NameExpr):
-                    expression = syn.CallExpr(None, expression.token, self._parse_arguments())
+                    expression = syn.CallExpr(None, expression.name, expression.token, self._parse_arguments())
                     continue
                 if isinstance(expression, (syn.ThisExpr, syn.SuperExpr)):
                     expression = syn.ConstructorDelegationExpr(expression.token, self._parse_arguments())
@@ -848,7 +841,7 @@ _STATEMENT_HANDLERS = {
 
 
 def parse_compilation_unit(
-    tokens: list[Token], file: str = "<source>", strict: bool = True
+    tokens: Tokens, file: str = "<source>", strict: bool = True
 ) -> tuple[syn.CompilationUnit | None, list[Diagnostic]]:
     """Parse one file's tokens.
 
@@ -856,4 +849,11 @@ def parse_compilation_unit(
     ``(None, diagnostics)`` with a single error, in lenient mode problems are
     warnings and the unit holds every declaration that survived recovery.
     """
-    return _Parser(tokens, file, strict).parse_unit()
+    texts = tokens.texts
+    end = len(texts)
+    # Two pads: a cast lookahead reads the token after a type ending the file.
+    texts += ("", "")
+    try:
+        return _Parser(texts, end, tokens.positions, file, strict).parse_unit()
+    finally:
+        del texts[end:]

@@ -86,10 +86,11 @@ def render_name_list(names: list[str]) -> str:
     return ", ".join(names[:-1]) + " and " + names[-1]
 
 
-def _listing(singular_head: str, plural_head: str, items: list[str]) -> str:
+def _listing(head: str, items: list[str]) -> str:
+    """``head`` ends in a singular noun; more than one item makes it plural."""
     if len(items) == 1:
-        return f"{singular_head}: {items[0]}."
-    return f"{plural_head}: {render_name_list(items)}."
+        return f"{head}: {items[0]}."
+    return f"{head}s: {render_name_list(items)}."
 
 
 def class_messages(cls: ClassDecl, config: RenderingConfig) -> list[RapidSummaryMessage]:
@@ -117,28 +118,12 @@ def class_messages(cls: ClassDecl, config: RenderingConfig) -> list[RapidSummary
         )
     if cls.attributes:
         names = [render_identifier(attr.name, config) for attr in cls.attributes]
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.CLASS_ATTRIBUTE,
-                _listing(
-                    "This class contains the following attribute",
-                    "This class contains the following attributes",
-                    names,
-                ),
-            )
-        )
+        listing = _listing("This class contains the following attribute", names)
+        messages.append(RapidSummaryMessage(MessageKind.CLASS_ATTRIBUTE, listing))
     if cls.methods:
         names = [render_identifier(method.name, config) for method in cls.methods]
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.CLASS_METHOD,
-                _listing(
-                    "This class contains the following method",
-                    "This class contains the following methods",
-                    names,
-                ),
-            )
-        )
+        listing = _listing("This class contains the following method", names)
+        messages.append(RapidSummaryMessage(MessageKind.CLASS_METHOD, listing))
     return messages
 
 
@@ -170,11 +155,7 @@ def method_messages(method: MethodDecl, config: RenderingConfig) -> list[RapidSu
             f"{render_type(param.declared_type, config)}"
             for param in method.parameters
         ]
-        enumeration = _listing(
-            "This method consists of the following parameter",
-            "This method consists of the following parameters",
-            clauses,
-        )
+        enumeration = _listing("This method consists of the following parameter", clauses)
         messages.append(
             RapidSummaryMessage(MessageKind.METHOD_PARAMETER, f"{count_sentence} {enumeration}")
         )
@@ -184,38 +165,14 @@ def method_messages(method: MethodDecl, config: RenderingConfig) -> list[RapidSu
             f"{render_type(local.declared_type, config)}"
             for local in method.local_variables
         ]
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.METHOD_VARIABLE,
-                _listing(
-                    "This method contains the following local variable",
-                    "This method contains the following local variables",
-                    clauses,
-                ),
-            )
-        )
+        listing = _listing("This method contains the following local variable", clauses)
+        messages.append(RapidSummaryMessage(MessageKind.METHOD_VARIABLE, listing))
     if method.attribute_accesses:
         names = [render_identifier(access.name, config) for access in method.attribute_accesses]
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.METHOD_ACCESS,
-                _listing(
-                    "This method accesses the following attribute",
-                    "This method accesses the following attributes",
-                    names,
-                ),
-            )
-        )
+        listing = _listing("This method accesses the following attribute", names)
+        messages.append(RapidSummaryMessage(MessageKind.METHOD_ACCESS, listing))
     if method.method_invocations:
         names = [render_identifier(invocation.name, config) for invocation in method.method_invocations]
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.METHOD_INVOCATION,
-                _listing(
-                    "This method invokes the following method",
-                    "This method invokes the following methods",
-                    names,
-                ),
-            )
-        )
+        listing = _listing("This method invokes the following method", names)
+        messages.append(RapidSummaryMessage(MessageKind.METHOD_INVOCATION, listing))
     return messages

@@ -2,14 +2,16 @@
 
 Bodies keep just enough structure for dependency extraction: declarations,
 expressions, member-access chains, calls, returns, and control-flow blocks.
-Name tokens are retained so extraction can restore source order by position.
+A node's ``token`` is the index of its token in the file's ``Tokens``, and a
+named node keeps the ``name`` text too. Index order is source order; the
+unit's ``positions`` turns an index into a line and column for a diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Token
+from .lexer import Positions
 from .model import AccessLevel
 
 
@@ -23,22 +25,23 @@ class Stmt:
 
 @dataclass
 class NameExpr(Expr):
-    token: Token
+    name: str
+    token: int
 
 
 @dataclass
 class ThisExpr(Expr):
-    token: Token
+    token: int
 
 
 @dataclass
 class SuperExpr(Expr):
-    token: Token
+    token: int
 
 
 @dataclass
 class LiteralExpr(Expr):
-    token: Token
+    token: int
 
 
 @dataclass
@@ -46,13 +49,14 @@ class ClassLiteralExpr(Expr):
     """``Foo.class``; ``operand`` is None for primitive forms like ``int.class``."""
 
     operand: "Expr | None"
-    token: Token
+    token: int
 
 
 @dataclass
 class FieldSelectExpr(Expr):
     receiver: Expr
-    name: Token
+    name: str
+    token: int
 
 
 @dataclass
@@ -60,7 +64,8 @@ class CallExpr(Expr):
     """A method call; ``receiver`` is None for a bare call on the current object."""
 
     receiver: Expr | None
-    name: Token
+    name: str
+    token: int
     arguments: list[Expr]
 
 
@@ -68,7 +73,7 @@ class CallExpr(Expr):
 class ConstructorDelegationExpr(Expr):
     """``this(...)`` or ``super(...)`` inside a constructor body."""
 
-    keyword: Token
+    token: int
     arguments: list[Expr]
 
 
@@ -76,7 +81,7 @@ class ConstructorDelegationExpr(Expr):
 class NewExpr(Expr):
     type_text: str
     arguments: list[Expr]
-    token: Token
+    token: int
 
 
 @dataclass
@@ -84,7 +89,7 @@ class ArrayCreationExpr(Expr):
     type_text: str
     dimensions: list[Expr]
     initializer: "ArrayInitExpr | None"
-    token: Token
+    token: int
 
 
 @dataclass
@@ -145,7 +150,8 @@ class InstanceofExpr(Expr):
 
 @dataclass
 class Declarator:
-    name: Token
+    name: str
+    token: int
     initializer: Expr | None
     # C-style suffix ("[]" per bracket pair) widening just this declarator.
     extra_dims: str = ""
@@ -207,7 +213,8 @@ class ForStmt(Stmt):
 @dataclass
 class ForEachStmt(Stmt):
     type_text: str
-    name: Token
+    name: str
+    token: int
     iterable: Expr
     body: Stmt
 
@@ -229,13 +236,15 @@ class EmptyStmt(Stmt):
 
 @dataclass
 class ParamSyntax:
-    name: Token
+    name: str
+    token: int
     type_text: str
 
 
 @dataclass
 class FieldSyntax:
-    name: Token
+    name: str
+    token: int
     access_level: AccessLevel
     type_text: str
     initializer: Expr | None = None
@@ -245,7 +254,8 @@ class FieldSyntax:
 class MethodSyntax:
     """A method or constructor; constructors carry the class name as return type."""
 
-    name: Token
+    name: str
+    token: int
     access_level: AccessLevel
     return_type: str
     is_constructor: bool
@@ -255,7 +265,8 @@ class MethodSyntax:
 
 @dataclass
 class ClassSyntax:
-    name: Token
+    name: str
+    token: int
     access_level: AccessLevel
     superclass: str | None = None
     fields: list[FieldSyntax] = field(default_factory=list)
@@ -265,6 +276,7 @@ class ClassSyntax:
 @dataclass
 class CompilationUnit:
     file: str
+    positions: Positions = field(repr=False, compare=False)
     package: str | None = None
     imports: list[str] = field(default_factory=list)
     classes: list[ClassSyntax] = field(default_factory=list)

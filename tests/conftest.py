@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled sample projects, parsed once per session."""
+"""Shared fixtures: the bundled sample projects, parsed once per session, and
+a class lookup for assertions."""
 
 from __future__ import annotations
 
@@ -8,8 +9,19 @@ import pytest
 
 from codesum.diagnostics import has_errors
 from codesum.extractor import parse_project
+from codesum.model import ClassDecl, CodeModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def lookup_class(model: CodeModel, package: str, class_name: str) -> ClassDecl | None:
+    """Find a class by package and simple name; None when absent."""
+    for pkg in model.packages:
+        if pkg.name == package:
+            for cls in pkg.classes:
+                if cls.name == class_name:
+                    return cls
+    return None
 
 
 def _parsed(name: str):

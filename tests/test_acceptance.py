@@ -11,11 +11,10 @@ from codesum import cli
 from codesum.diagnostics import has_errors
 from codesum.emitter import aggregate
 from codesum.extractor import parse_project
-from codesum.model import lookup_class
 from codesum.summarizer import RenderingConfig, class_messages, method_messages, render_name_list
 from codesum.xml_io import export_xml, import_xml
 
-from conftest import FIXTURES
+from conftest import FIXTURES, lookup_class
 from modelgen import random_model
 
 CONFIG = RenderingConfig()

@@ -1,14 +1,16 @@
 """Dependency extraction rules and model assembly."""
 
+from collections import Counter
+
 import pytest
 
+from codesum import lexer
 from codesum.diagnostics import has_errors
 from codesum.extractor import DEFAULT_PACKAGE, build_model, discover_source_files, parse_project
 from codesum.lexer import TokenKind, tokenize
-from codesum.model import lookup_class
 from codesum.parser import parse_compilation_unit
 
-from conftest import FIXTURES
+from conftest import FIXTURES, lookup_class
 
 
 def _unit(source, file="Test.java"):
@@ -242,7 +244,7 @@ def test_extraction_never_invents_names(project):
     identifiers = set()
     for path in discover_source_files(FIXTURES / project):
         tokens, _ = tokenize(path.read_text(encoding="utf-8"), path.as_posix())
-        identifiers.update(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
+        identifiers.update(text for index, text in enumerate(tokens.texts) if tokens.kind(index) is TokenKind.IDENTIFIER)
     model, diagnostics, _ = parse_project(FIXTURES / project)
     assert not has_errors(diagnostics)
     for pkg in model.packages:
@@ -257,33 +259,35 @@ def test_extraction_never_invents_names(project):
 def _scan_call_count(tokens):
     # Independent oracle: an identifier directly followed by "(" is a call
     # site unless "new" precedes it (constructor) or a keyword names it.
+    # ``tokens`` holds (kind, text) pairs.
     count = 0
-    for index, token in enumerate(tokens):
-        if token.kind is not TokenKind.IDENTIFIER:
+    for index, (kind, _) in enumerate(tokens):
+        if kind is not TokenKind.IDENTIFIER:
             continue
-        following = tokens[index + 1] if index + 1 < len(tokens) else None
-        previous = tokens[index - 1] if index > 0 else None
-        if following is not None and following.text == "(":
-            if previous is None or previous.text != "new":
+        following = tokens[index + 1][1] if index + 1 < len(tokens) else None
+        previous = tokens[index - 1][1] if index > 0 else None
+        if following == "(":
+            if previous is None or previous != "new":
                 count += 1
     return count
 
 
-def _body_tokens(tokens, name):
-    # The tokens between a method's braces, found from its name token: the
-    # first "{" after the name opens the body unless a ";" ends the
-    # declaration first; the body ends at the matching "}".
-    index = tokens.index(name)
-    while tokens[index].text not in ("{", ";"):
+def _body_tokens(tokens, index):
+    # The (kind, text) pairs between a method's braces, found from the index
+    # of its name token: the first "{" after the name opens the body unless a
+    # ";" ends the declaration first; the body ends at the matching "}".
+    name = tokens.texts[index]
+    pairs = [(tokens.kind(i), text) for i, text in enumerate(tokens.texts)]
+    while pairs[index][1] not in ("{", ";"):
         index += 1
-    if tokens[index].text == ";":
+    if pairs[index][1] == ";":
         return []
     start, depth = index + 1, 0
-    for index in range(index, len(tokens)):
-        depth += {"{": 1, "}": -1}.get(tokens[index].text, 0)
+    for index in range(index, len(pairs)):
+        depth += {"{": 1, "}": -1}.get(pairs[index][1], 0)
         if depth == 0:
-            return tokens[start:index]
-    raise AssertionError(f"unclosed body of {name.text!r}")
+            return pairs[start:index]
+    raise AssertionError(f"unclosed body of {name!r}")
 
 
 @pytest.mark.parametrize("project", ["drawing-shapes", "nanoxml-like", "argouml-like"])
@@ -303,11 +307,11 @@ def test_invocation_counts_match_an_independent_token_scan(project):
     for unit, tokens in zip(units, unit_tokens):
         package = unit.package if unit.package is not None else DEFAULT_PACKAGE
         for class_syntax in unit.classes:
-            declared = lookup_class(model, package, class_syntax.name.text)
+            declared = lookup_class(model, package, class_syntax.name)
             assert declared is not None
             for method_syntax, method in zip(class_syntax.methods, declared.methods):
-                assert method_syntax.name.text == method.name
-                body = _body_tokens(tokens, method_syntax.name)
+                assert method_syntax.name == method.name
+                body = _body_tokens(tokens, method_syntax.token)
                 assert _scan_call_count(body) == len(method.method_invocations)
                 checked += 1
     assert checked > 0
@@ -336,3 +340,35 @@ def test_parse_project_warns_when_no_files_found(tmp_path):
     assert model.packages == ()
     assert source_length == 0
     assert any("no .java files" in d.message for d in diagnostics)
+
+
+def _count_position_work(monkeypatch) -> Counter:
+    """Counts of offset rescans, line tables built and offsets resolved."""
+    counts: Counter = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lexer, "_token_starts", counted("_token_starts", lexer._token_starts))
+    monkeypatch.setattr(lexer, "_line_starts", counted("_line_starts", lexer._line_starts))
+    monkeypatch.setattr(lexer.Positions, "locate", counted("locate", lexer.Positions.locate))
+    return counts
+
+
+def test_positions_are_resolved_only_for_diagnostics(monkeypatch, tmp_path):
+    counts = _count_position_work(monkeypatch)
+    for project in ("drawing-shapes", "nanoxml-like", "argouml-like"):
+        _, diagnostics, _ = parse_project(FIXTURES / project, strict=True)
+        assert diagnostics == []
+    assert counts == {}
+
+    (tmp_path / "W.java").write_text("package p;\nclass W { void m() { run(); } }\ninterface I {}\n", encoding="utf-8")
+    _, diagnostics, _ = parse_project(tmp_path, strict=False)
+    assert [str(d) for d in diagnostics] == [
+        f"{(tmp_path / 'W.java').as_posix()}:3:1: warning: unsupported construct: interface declaration (skipped)"
+    ]
+    assert counts == {"_token_starts": 1, "_line_starts": 1, "locate": 1}

@@ -2,17 +2,36 @@
 
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from codesum import lexer
 from codesum.diagnostics import Severity
 from codesum.lexer import TokenKind, tokenize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+class _Token(NamedTuple):
+    kind: TokenKind
+    text: str
+    line: int
+    column: int
+
+
+def _view(tokens) -> list[_Token]:
+    """Every token with its kind and position, read through the accessors."""
+    return [_Token(tokens.kind(index), text, *tokens.position(index)) for index, text in enumerate(tokens.texts)]
+
+
+def _tokenize(source: str, file: str = "<source>", strict: bool = True):
+    tokens, diagnostics = tokenize(source, file, strict)
+    return _view(tokens), diagnostics
+
+
 def _clean(source: str):
-    tokens, diagnostics = tokenize(source)
+    tokens, diagnostics = _tokenize(source)
     assert diagnostics == []
     return tokens
 
@@ -74,24 +93,24 @@ def test_operators_longest_match_first():
 
 
 def test_strict_unterminated_string_is_error_and_stops():
-    tokens, diagnostics = tokenize('String s = "oops\nint x;', strict=True)
+    tokens, diagnostics = _tokenize('String s = "oops\nint x;', strict=True)
     assert [d.severity for d in diagnostics] == [Severity.ERROR]
     assert "unterminated string" in diagnostics[0].message
     assert [t.text for t in tokens] == ["String", "s", "="]
 
 
 def test_lenient_unterminated_string_is_warning_and_continues():
-    tokens, diagnostics = tokenize('String s = "oops\nint x;', strict=False)
+    tokens, diagnostics = _tokenize('String s = "oops\nint x;', strict=False)
     assert [d.severity for d in diagnostics] == [Severity.WARNING]
     assert [t.text for t in tokens] == ["String", "s", "=", "int", "x", ";"]
 
 
 def test_illegal_character_strict_versus_lenient():
-    tokens, diagnostics = tokenize("int #x;", strict=True)
+    tokens, diagnostics = _tokenize("int #x;", strict=True)
     assert [d.severity for d in diagnostics] == [Severity.ERROR]
     assert [t.text for t in tokens] == ["int"]
 
-    tokens, diagnostics = tokenize("int #x;", strict=False)
+    tokens, diagnostics = _tokenize("int #x;", strict=False)
     assert [d.severity for d in diagnostics] == [Severity.WARNING]
     assert [t.text for t in tokens] == ["int", "x", ";"]
 
@@ -125,7 +144,7 @@ I, P, L = TokenKind.IDENTIFIER, TokenKind.PUNCTUATION, TokenKind.LITERAL
 
 
 def _lex(source: str, strict: bool):
-    tokens, diagnostics = tokenize(source, "F.java", strict)
+    tokens, diagnostics = _tokenize(source, "F.java", strict)
     return [(t.kind, t.text, t.line, t.column) for t in tokens], [str(d) for d in diagnostics]
 
 
@@ -232,13 +251,18 @@ def _strictly_increasing(items) -> bool:
     return all(a < b for a, b in zip(positions, positions[1:]))
 
 
+def _random_sources(seed: int):
+    """The seeded property corpus: 300 sources of 1 to 40 fragments."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        yield "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 40)))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_random_sources_report_true_increasing_positions(seed):
-    rng = random.Random(seed)
     clean = 0
-    for _ in range(300):
-        source = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 40)))
-        results = {strict: tokenize(source, "F.java", strict) for strict in (True, False)}
+    for source in _random_sources(seed):
+        results = {strict: _tokenize(source, "F.java", strict) for strict in (True, False)}
         for tokens, diagnostics in results.values():
             for token in tokens:
                 assert source.startswith(token.text, _offset(source, token.line, token.column)), (source, token)
@@ -250,3 +274,34 @@ def test_random_sources_report_true_increasing_positions(seed):
             clean += 1
             assert results[True] == results[False], source
     assert clean >= 30
+
+
+# Where each code point is put: alone, at a token start, after a name
+# character, after each number prefix, and inside a string and a character.
+_PLACEMENTS = ("{}", "{}a0 b", "a{}", "1{}", "1.{}", "1e{}", "1e-{}", "0x{}", '"{}"', "'{}'")
+
+
+def test_fast_and_exact_paths_agree(monkeypatch):
+    """``tokenize`` against the exact scanner alone: texts, kinds, every
+    ``line:col`` and every diagnostic, in both modes."""
+    fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.java"))]
+    corpus = [source for seed in range(5) for source in _random_sources(seed)]
+    code_points = [placement.format(chr(code)) for code in range(128) for placement in _PLACEMENTS]
+    exact_scan = lexer._scan
+    exact_scans = []
+
+    def counted_scan(source, *rest):
+        exact_scans.append(source)
+        return exact_scan(source, *rest)
+
+    monkeypatch.setattr(lexer, "_scan", counted_scan)
+    for source in fixtures + corpus + code_points:
+        for strict in (True, False):
+            tokens, diagnostics = tokenize(source, "F.java", strict)
+            exact_tokens, exact_diagnostics = exact_scan(source, "F.java", strict)
+            assert _view(tokens) == _view(exact_tokens), (source, strict)
+            assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics], (source, strict)
+    # Every fixture file took the fast path, and so did many other sources.
+    fast = set(fixtures + corpus + code_points).difference(exact_scans)
+    assert set(fixtures) <= fast
+    assert len(fast.intersection(corpus)) > 100 and len(fast.intersection(code_points)) > 900

@@ -16,9 +16,10 @@ from codesum.model import (
     MethodInvocation,
     PackageDecl,
     ParameterDecl,
-    lookup_class,
     validate_model,
 )
+
+from conftest import lookup_class
 
 
 def _method(name="m", cls="C", **overrides):

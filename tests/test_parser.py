@@ -1,36 +1,46 @@
 """Parse-tree shape, recovery behavior, and subset boundaries."""
 
 import hashlib
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from codesum import syntax as syn
 from codesum.diagnostics import Severity, has_errors
-from codesum.lexer import tokenize
+from codesum.lexer import Positions, Tokens, tokenize
 from codesum.model import AccessLevel
 from codesum.parser import _MAX_NESTING, parse_compilation_unit
 
 from conftest import FIXTURES
 
 
-def _parse(source: str, strict: bool = True):
+def _lexed(source: str, strict: bool = True) -> Tokens:
     tokens, lex_diagnostics = tokenize(source, "Test.java", strict)
     assert not has_errors(lex_diagnostics)
-    return parse_compilation_unit(tokens, "Test.java", strict)
+    return tokens
+
+
+def _parse(source: str, strict: bool = True):
+    return parse_compilation_unit(_lexed(source, strict), "Test.java", strict)
 
 
 def _clean(source: str) -> syn.CompilationUnit:
-    unit, diagnostics = _parse(source)
+    return _clean_with_texts(source)[0]
+
+
+def _clean_with_texts(source: str) -> tuple[syn.CompilationUnit, list[str]]:
+    tokens = _lexed(source)
+    unit, diagnostics = parse_compilation_unit(tokens, "Test.java")
     assert unit is not None
     assert diagnostics == [], [str(d) for d in diagnostics]
-    return unit
+    return unit, tokens.texts
 
 
 def test_package_and_imports():
     unit = _clean("package a.b;\nimport java.util.List;\nimport java.util.*;\nclass C {}")
     assert unit.package == "a.b"
     assert unit.imports == ["java.util.List", "java.util.*"]
-    assert [cls.name.text for cls in unit.classes] == ["C"]
+    assert [cls.name for cls in unit.classes] == ["C"]
     assert unit.classes[0].access_level is AccessLevel.PACKAGE_PRIVATE
 
 
@@ -51,16 +61,16 @@ def test_constructor_is_detected_by_name_and_call_shape():
     constructor, plain = unit.classes[0].methods
     assert constructor.is_constructor
     assert constructor.return_type == "A"
-    assert [p.name.text for p in constructor.parameters] == ["x"]
+    assert [p.name for p in constructor.parameters] == ["x"]
     assert not plain.is_constructor
-    assert plain.name.text == "A"
+    assert plain.name == "A"
     assert plain.return_type == "A"
 
 
 def test_field_declarations_with_multiple_declarators_and_dims():
     unit = _clean("class A { private int x, y = 2, z[]; }")
     fields = unit.classes[0].fields
-    assert [(f.name.text, f.type_text) for f in fields] == [("x", "int"), ("y", "int"), ("z", "int[]")]
+    assert [(f.name, f.type_text) for f in fields] == [("x", "int"), ("y", "int"), ("z", "int[]")]
     assert all(f.access_level is AccessLevel.PRIVATE for f in fields)
     assert fields[1].initializer is not None
 
@@ -68,7 +78,7 @@ def test_field_declarations_with_multiple_declarators_and_dims():
 def test_parameter_dims_before_and_after_name():
     unit = _clean("class A { void m(final int[] a, String b[]) {} }")
     params = unit.classes[0].methods[0].parameters
-    assert [(p.name.text, p.type_text) for p in params] == [("a", "int[]"), ("b", "String[]")]
+    assert [(p.name, p.type_text) for p in params] == [("a", "int[]"), ("b", "String[]")]
 
 
 def test_generic_type_text_is_canonicalized():
@@ -114,7 +124,7 @@ def test_statement_shapes():
         "BreakStmt",
     ]
     declaration = body.statements[1]
-    assert [(d.name.text, d.extra_dims) for d in declaration.declarators] == [("i", ""), ("j", "[]")]
+    assert [(d.name, d.extra_dims) for d in declaration.declarators] == [("i", ""), ("j", "[]")]
 
 
 def test_expression_shapes():
@@ -182,10 +192,10 @@ def test_unsupported_constructs_warn_and_are_skipped(source, phrase):
     assert unit is not None
     assert not has_errors(diagnostics)
     assert any(phrase in d.message and "unsupported construct" in d.message for d in diagnostics)
-    cls = next(c for c in unit.classes if c.name.text == "A")
+    cls = next(c for c in unit.classes if c.name == "A")
     # The surviving class still carries its supported members.
     if "void m()" in source:
-        assert [m.name.text for m in cls.methods] == ["m"]
+        assert [m.name for m in cls.methods] == ["m"]
 
 
 def test_strict_mode_stops_at_first_problem():
@@ -199,7 +209,7 @@ def test_strict_mode_stops_at_first_problem():
 def test_lenient_mode_recovers_at_next_top_level_declaration():
     unit, diagnostics = _parse("class A { void m() { &&; } } class B {}", strict=False)
     assert unit is not None
-    assert [cls.name.text for cls in unit.classes] == ["B"]
+    assert [cls.name for cls in unit.classes] == ["B"]
     assert any(
         d.severity is Severity.WARNING and "skipping to next top-level declaration" in d.message
         for d in diagnostics
@@ -220,32 +230,37 @@ def test_parsing_is_deterministic():
     assert first_diagnostics == second_diagnostics
 
 
-def _shape(node) -> str:
-    """An expression tree as an S-expression, so exact shapes can be compared."""
-    if isinstance(node, (syn.NameExpr, syn.LiteralExpr)):
-        return node.token.text
-    if isinstance(node, syn.BinaryExpr):
-        return f"({node.operator} {_shape(node.left)} {_shape(node.right)})"
-    if isinstance(node, syn.InstanceofExpr):
-        return f"(instanceof {_shape(node.operand)} {node.type_text})"
-    if isinstance(node, syn.AssignExpr):
-        return f"({node.operator} {_shape(node.target)} {_shape(node.value)})"
-    if isinstance(node, syn.ConditionalExpr):
-        return f"(? {_shape(node.condition)} {_shape(node.if_true)} {_shape(node.if_false)})"
-    if isinstance(node, syn.CastExpr):
-        return f"(cast {node.type_text} {_shape(node.operand)})"
-    if isinstance(node, syn.ParenExpr):
-        return f"(paren {_shape(node.inner)})"
-    if isinstance(node, syn.UnaryExpr):
-        return f"({node.operator} {_shape(node.operand)})" if node.prefix else f"(post{node.operator} {_shape(node.operand)})"
-    if isinstance(node, syn.IndexExpr):
-        return f"(index {_shape(node.array)} {_shape(node.index)})"
-    if isinstance(node, syn.FieldSelectExpr):
-        return f"(. {_shape(node.receiver)} {node.name.text})"
-    if isinstance(node, syn.CallExpr):
-        parts = [_shape(node.receiver) if node.receiver is not None else "-", node.name.text]
-        return f"(call {' '.join(parts + [_shape(argument) for argument in node.arguments])})"
-    raise AssertionError(f"unexpected node {node!r}")
+def _shape(node, texts: list[str]) -> str:
+    """An expression tree as an S-expression, so exact shapes can be compared.
+    A leaf or member name is the text of the node's token index in ``texts``."""
+
+    def shape(node) -> str:
+        if isinstance(node, (syn.NameExpr, syn.LiteralExpr)):
+            return texts[node.token]
+        if isinstance(node, syn.BinaryExpr):
+            return f"({node.operator} {shape(node.left)} {shape(node.right)})"
+        if isinstance(node, syn.InstanceofExpr):
+            return f"(instanceof {shape(node.operand)} {node.type_text})"
+        if isinstance(node, syn.AssignExpr):
+            return f"({node.operator} {shape(node.target)} {shape(node.value)})"
+        if isinstance(node, syn.ConditionalExpr):
+            return f"(? {shape(node.condition)} {shape(node.if_true)} {shape(node.if_false)})"
+        if isinstance(node, syn.CastExpr):
+            return f"(cast {node.type_text} {shape(node.operand)})"
+        if isinstance(node, syn.ParenExpr):
+            return f"(paren {shape(node.inner)})"
+        if isinstance(node, syn.UnaryExpr):
+            return f"({node.operator} {shape(node.operand)})" if node.prefix else f"(post{node.operator} {shape(node.operand)})"
+        if isinstance(node, syn.IndexExpr):
+            return f"(index {shape(node.array)} {shape(node.index)})"
+        if isinstance(node, syn.FieldSelectExpr):
+            return f"(. {shape(node.receiver)} {texts[node.token]})"
+        if isinstance(node, syn.CallExpr):
+            parts = [shape(node.receiver) if node.receiver is not None else "-", texts[node.token]]
+            return f"(call {' '.join(parts + [shape(argument) for argument in node.arguments])})"
+        raise AssertionError(f"unexpected node {node!r}")
+
+    return shape(node)
 
 
 @pytest.mark.parametrize(
@@ -274,20 +289,20 @@ def _shape(node) -> str:
     ],
 )
 def test_exact_expression_trees(expression, shape):
-    unit = _clean(f"class A {{ void m() {{ {expression}; }} }}")
-    assert _shape(unit.classes[0].methods[0].body.statements[0].expression) == shape
+    unit, texts = _clean_with_texts(f"class A {{ void m() {{ {expression}; }} }}")
+    assert _shape(unit.classes[0].methods[0].body.statements[0].expression, texts) == shape
 
 
 def test_else_if_arms_nest_from_the_last():
-    unit = _clean("class A { void m() { if (a) x(); else if (b) y(); else z(); } }")
+    unit, texts = _clean_with_texts("class A { void m() { if (a) x(); else if (b) y(); else z(); } }")
     outer = unit.classes[0].methods[0].body.statements[0]
-    assert _shape(outer.condition) == "a"
-    assert _shape(outer.then_branch.expression) == "(call - x)"
+    assert _shape(outer.condition, texts) == "a"
+    assert _shape(outer.then_branch.expression, texts) == "(call - x)"
     inner = outer.else_branch
     assert isinstance(inner, syn.IfStmt)
-    assert _shape(inner.condition) == "b"
-    assert _shape(inner.then_branch.expression) == "(call - y)"
-    assert _shape(inner.else_branch.expression) == "(call - z)"
+    assert _shape(inner.condition, texts) == "b"
+    assert _shape(inner.then_branch.expression, texts) == "(call - y)"
+    assert _shape(inner.else_branch.expression, texts) == "(call - z)"
 
 
 @pytest.mark.parametrize(
@@ -318,7 +333,7 @@ def test_nesting_limit_is_exact_and_restored_after_recovery():
     assert [d.message for d in diagnostics] == ["nesting too deep"]
     source = _nested_parentheses("A", 150) + _nested_parentheses("B", 150) + _nested_parentheses("C", deepest)
     unit, diagnostics = _parse(source, strict=False)
-    assert [cls.name.text for cls in unit.classes] == ["C"]
+    assert [cls.name for cls in unit.classes] == ["C"]
     assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
 
 
@@ -346,29 +361,55 @@ def test_lookahead_past_the_end_of_file(source, message):
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_empty_token_list_gives_an_empty_unit(strict):
-    unit, diagnostics = parse_compilation_unit([], "Test.java", strict)
-    assert unit == syn.CompilationUnit("Test.java")
+    tokens = _lexed("")
+    unit, diagnostics = parse_compilation_unit(tokens, "Test.java", strict)
+    assert unit == syn.CompilationUnit("Test.java", tokens.positions)
     assert diagnostics == []
 
 
-# sha256 over every parse below, recorded before the parser read a padded token array.
-_TRUNCATION_DIGEST = "46d275b439125ac470ab90b9988e80e2d3f47fedc4bfece451850ae9906f6dfd"
+def _dump(node, tokens: Tokens) -> str:
+    """A parse tree with each kept token as ``text@line:col``, read through the
+    accessors; a node's name text is its token's text and is not repeated."""
+    if is_dataclass(node):
+        parts = []
+        for item in fields(node):
+            if item.name == "token":
+                line, column = tokens.position(node.token)
+                parts.append(f"{tokens.texts[node.token]}@{line}:{column}")
+            elif item.name != "name" and item.repr:
+                parts.append(_dump(getattr(node, item.name), tokens))
+        return f"{type(node).__name__}({', '.join(parts)})"
+    if isinstance(node, list):
+        return f"[{', '.join(_dump(item, tokens) for item in node)}]"
+    return repr(node)
+
+
+# sha256 over every parse below, recorded with the same dump of Token-based
+# trees before positions became token indexes.
+_TRUNCATION_DIGEST = "66d193a33c2f9b109f710aeab04e8f15042519a76c6dacc12b880b86188a020d"
 
 
 def test_truncated_fixture_input_parses_as_recorded():
     """Every token prefix and every single-token deletion of every fixture
-    file, in both modes: the trees and diagnostics hash to a recorded digest."""
+    file, in both modes: the trees and diagnostics hash to a recorded digest.
+    A variant keeps each remaining token's text and source offset."""
     digest = hashlib.sha256()
     for path in sorted(FIXTURES.rglob("*.java")):
         name = path.relative_to(FIXTURES).as_posix()
-        tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), name, True)
+        source = path.read_text(encoding="utf-8")
+        tokens, lex_diagnostics = tokenize(source, name, True)
         assert lex_diagnostics == []
-        prefixes = [tokens[:end] for end in range(len(tokens) + 1)]
-        deletions = [tokens[:index] + tokens[index + 1:] for index in range(len(tokens))]
-        for variant in prefixes + deletions:
+        kept = range(len(tokens))
+        prefixes = [kept[:end] for end in range(len(tokens) + 1)]
+        deletions = [[*kept[:index], *kept[index + 1:]] for index in range(len(tokens))]
+        offsets = [tokens.positions.offset(index) for index in kept]
+        for indexes in prefixes + deletions:
+            variant = Tokens(
+                [tokens.texts[index] for index in indexes], Positions(source, [offsets[index] for index in indexes])
+            )
             for strict in (True, False):
                 unit, diagnostics = parse_compilation_unit(variant, name, strict)
-                digest.update(repr(unit).encode())
+                digest.update(_dump(unit, variant).encode())
                 for diagnostic in diagnostics:
                     digest.update(f"\n{diagnostic}".encode())
                 digest.update(b"\0")
