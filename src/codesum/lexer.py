@@ -30,7 +30,6 @@ from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain
-from string import ascii_letters, digits
 from typing import Sequence
 
 from .diagnostics import Diagnostic, error, warning
@@ -90,12 +89,14 @@ _OPERATOR = "|".join(re.escape(op) for op in _OPERATORS)
 _NUMBER = r"0[xX][0-9a-fA-F]*[lLfFdD]?|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[lLfFdD]?"
 _LITERAL = rf"""{_literal('"')}"|{_literal("'")}'"""
 
+# These patterns are strings: ``re`` compiles each on first use and caches
+# it, so importing the lexer compiles none of them.
+#
 # Group 1 is the whitespace and comments before the token. Every other
 # group is named, and exactly one of them matches. ``other`` takes any
 # character no earlier group starts with, and ``end`` matches only after
 # trailing whitespace, so a match never fails or backtracks into group 1.
-_MASTER = re.compile(
-    rf"""({_SKIP})
+_MASTER = rf"""(?x)({_SKIP})
     (?:(?P<word>{_WORD})
     |(?P<open_comment>/\*)
     |(?P<operator>{_OPERATOR})
@@ -104,17 +105,15 @@ _MASTER = re.compile(
     |(?P<open_string>{_literal('"')}\\?)
     |(?P<open_character>{_literal("'")}\\?)
     |(?P<other>[\s\S])
-    |(?P<end>\Z))""",
-    re.VERBOSE,
-)
+    |(?P<end>\Z))"""
 
 # The fast path's token: the clean tokens in ``_MASTER``'s order, then any
 # other non-blank character, then the end (which keeps a match from
 # backtracking into the skipped text, as ``end`` does above).
 _TOKEN = rf"{_WORD}|/\*|{_OPERATOR}|{_NUMBER}|{_LITERAL}|[^ \t\r\n\f]|\Z"
-_TEXTS = re.compile(rf"{_SKIP}({_TOKEN})")
-_SPANS = re.compile(rf"({_SKIP})({_TOKEN})")
-_PROBLEMS = frozenset(map(chr, range(128))).difference(_OPERATORS, ascii_letters, digits, "_$") | {"/*"}
+_TEXTS = rf"{_SKIP}({_TOKEN})"
+_SPANS = rf"({_SKIP})({_TOKEN})"
+_PROBLEMS = frozenset(["/*", *(c for c in map(chr, range(128)) if not (c.isalnum() or c in "_$" or c in _OPERATORS))])
 
 _NAME_PART = re.compile(r"[\w$]*")
 
@@ -151,7 +150,7 @@ class Positions:
 def _token_starts(source: str) -> array:
     """A clean ASCII source's token offsets: running sums of the lengths of
     the skipped text and the token of each ``_SPANS`` match."""
-    return array("q", accumulate(map(len, chain.from_iterable(_SPANS.findall(source)))))[::2]
+    return array("q", accumulate(map(len, chain.from_iterable(re.findall(_SPANS, source)))))[::2]
 
 
 def _line_starts(source: str) -> list[int]:
@@ -214,7 +213,7 @@ def tokenize(
     resumes past the offending text.
     """
     if source.isascii():
-        texts = _TEXTS.findall(source)
+        texts = re.findall(_TEXTS, source)
         if _PROBLEMS.isdisjoint(texts):
             texts.pop()  # the end of the input
             if texts and not texts[-1]:
@@ -230,7 +229,7 @@ def _scan(source: str, file: str, strict: bool) -> tuple[Tokens, list[Diagnostic
     positions = Positions(source, starts)
     diagnostics: list[Diagnostic] = []
     add_text, add_start = texts.append, starts.append
-    match = _MASTER.match
+    match = re.compile(_MASTER).match
     pos = 0
     while True:
         found = match(source, pos)
