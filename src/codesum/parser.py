@@ -851,7 +851,8 @@ def parse_compilation_unit(
     """
     texts = tokens.texts
     end = len(texts)
-    # Two pads: a cast lookahead reads the token after a type ending the file.
+    # Two pads, taken off again below, so the parse needs no copy of the
+    # texts: a cast lookahead reads the token after a type ending the file.
     texts += ("", "")
     try:
         return _Parser(texts, end, tokens.positions, file, strict).parse_unit()
