@@ -9,6 +9,7 @@ UTF-8 with LF newlines and is byte-identical across runs on the same model.
 from __future__ import annotations
 
 import contextlib
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,9 @@ COMBINED = "combined"
 PER_IDENTIFIER = "per-identifier"
 
 _UNSAFE_FILENAME_CHARS = re.compile(r"[^A-Za-z0-9_.\-]")
+
+# Code points encoded at a time when a file is written.
+_ENCODE_SLICE = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -126,26 +130,74 @@ def plan_emission(summaries: tuple[SummaryDocument, ...], layout: str, out_dir: 
 
 
 def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
-    """Write planned files; returns the paths in write order.
+    """Write planned files as UTF-8; returns the paths in plan order.
 
-    Every parent directory is created before the first file is written, so a
-    directory that cannot be made (say, a file is in its place) fails the
-    run with nothing written: the directories this call made up to then are
-    removed again, innermost first, before the error propagates.
+    Three steps, one file at a time:
+
+    1. Every parent directory is made.
+    2. Every target is opened for writing without truncating it, which
+       creates the targets that do not exist yet. Whatever the operating
+       system would refuse (a file where a directory goes, a directory where
+       a file goes, a missing permission) fails here, before any byte is
+       written.
+    3. Each file is written over its old bytes and then cut to the new
+       length, so a rerun updates every file's mtime.
+
+    A failure in step 1 or 2 leaves the tree as it was: the files step 2
+    created and the directories step 1 made are removed, innermost first,
+    and the first error in plan order propagates. A failure in step 3 (disk
+    full, an I/O error) is raised against its path after the same cleanup,
+    but the files that existed before keep what step 3 wrote to them: the
+    one it failed on may hold new bytes followed by part of its old ones.
     """
     made: list[Path] = []
+    created: list[Path] = []
     try:
         for directory in dict.fromkeys(path.parent for path, _ in planned):
             made += reversed([parent for parent in (directory, *directory.parents) if not parent.exists()])
             directory.mkdir(parents=True, exist_ok=True)
+        for path, _ in planned:
+            try:
+                descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                created.append(path)
+            except FileExistsError:
+                descriptor = os.open(path, os.O_WRONLY)
+            os.close(descriptor)
+        for path, content in planned:
+            _overwrite(path, content)
     except OSError:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         for directory in reversed(made):
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
-    for path, content in planned:
-        path.write_text(content, encoding="utf-8", newline="\n")
     return [path for path, _ in planned]
+
+
+def _overwrite(path: Path, content: str) -> None:
+    """Write ``content`` over the existing file ``path`` and cut it to length.
+
+    The content is encoded a slice at a time, so a large file never holds
+    its whole encoding in memory. An error is raised against ``path``.
+    """
+    try:
+        descriptor = os.open(path, os.O_WRONLY)
+        try:
+            size = 0
+            for start in range(0, len(content), _ENCODE_SLICE):
+                data = memoryview(content[start : start + _ENCODE_SLICE].encode("utf-8"))
+                size += len(data)
+                while data:
+                    data = data[os.write(descriptor, data) :]
+            os.ftruncate(descriptor, size)
+        finally:
+            os.close(descriptor)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
 
 
 def _overloaded_method_names(summaries: tuple[SummaryDocument, ...]) -> set[tuple[str, str, str | None]]:

@@ -73,11 +73,11 @@ def _render_attributes(attributes: tuple[tuple[str, str], ...]) -> str:
 
 
 def export_xml(model: CodeModel) -> str:
-    """Serialize a valid model; raises ValueError naming the first violation."""
-    problems = validate_model(model)
-    if problems:
-        raise ValueError(f"invalid model: {problems[0].message}")
+    """Serialize a model that has already been validated.
 
+    A model enters the system through ``build_model`` or ``import_xml``,
+    which both validate it, so the model is not checked again here.
+    """
     writer = _Writer()
     writer.open("Project", [("ProjectName", model.project_name)])
     writer.container("Packages", list(model.packages), lambda pkg: _emit_package(writer, pkg))

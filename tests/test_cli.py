@@ -4,10 +4,13 @@ import errno
 import gc
 import os
 import re
+import shutil
 
 import pytest
 
 from codesum import cli
+from codesum.emitter import plan_emission, summarize_project
+from codesum.summarizer import RenderingConfig
 
 from conftest import FIXTURES
 
@@ -298,6 +301,96 @@ def test_failed_write_is_reported_against_its_path(blocker, tmp_path, capsys):
         "packages: 1, classes: 1, methods: 1, warnings: 0",
         "summary/source length ratio: n/a",
     ]
+
+
+def _previous_output(out, layout, capsys):
+    """A tree an earlier run left and someone then changed; returns the run's targets.
+
+    Every second target is deleted, the first one included, the others get
+    a stale tail, a file no
+    run writes is added, and in the per-identifier layout the methods
+    directory is gone, so a run must create, overwrite and make directories.
+    """
+    assert cli.main(["--in", DRAWING, "--out", str(out), "--layout", layout]) == 0
+    capsys.readouterr()
+    targets = sorted(path for path in out.rglob("*") if path.is_file())
+    for index, path in enumerate(targets):
+        if index % 2 == 0:
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes() + b"stale tail\n")
+    if layout == "per-identifier":
+        shutil.rmtree(out / "methods")
+    (out / "notes.txt").write_text("not an output\n", encoding="utf-8")
+    return [path.relative_to(out) for path in targets]
+
+
+def _tree(root):
+    """Every entry under root: a file's bytes and mtime, or None for a directory."""
+    return {
+        path.relative_to(root).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns) if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("fault", ["directory-in-the-way", "open-refused"])
+@pytest.mark.parametrize("layout", ["combined", "per-identifier"])
+def test_a_failing_target_leaves_the_output_tree_as_it_was(layout, fault, tmp_path, monkeypatch, capsys):
+    reference = tmp_path / "reference"
+    targets = _previous_output(reference, layout, capsys)
+    real_open = os.open
+    for index, target in enumerate(targets):
+        out = tmp_path / f"case-{index}"
+        shutil.copytree(reference, out)
+        blocked = out / target
+        with monkeypatch.context() as patch:
+            if fault == "directory-in-the-way":
+                code_of_error = errno.EISDIR
+                if blocked.exists():
+                    blocked.unlink()
+                blocked.mkdir(parents=True)
+            else:
+                # Root ignores mode bits, so the refusal is injected at the
+                # preflight open of this one target.
+                code_of_error = errno.EACCES
+
+                def refusing_open(path, flags, *args, blocked=os.fspath(blocked), **kwargs):
+                    if os.fspath(path) == blocked:
+                        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), blocked)
+                    return real_open(path, flags, *args, **kwargs)
+
+                patch.setattr(os, "open", refusing_open)
+            before = _tree(out)
+            code, _, stderr = _run(["--in", DRAWING, "--out", str(out), "--layout", layout], capsys)
+        assert code == 1, target
+        assert stderr.splitlines()[0] == f"{blocked.as_posix()}: error: {os.strerror(code_of_error)}"
+        assert _tree(out) == before, target
+
+
+@pytest.mark.parametrize("layout", ["combined", "per-identifier"])
+def test_a_full_disk_while_writing_is_reported_against_its_path(layout, drawing_shapes_model, tmp_path, monkeypatch, capsys):
+    # The documented gap: a write can fail after the preflight passed. The
+    # files the run created are removed again; a file that existed before
+    # could keep part of its old bytes.
+    summaries = summarize_project(drawing_shapes_model, RenderingConfig())
+    real_write = os.write
+    for index in range(1 + len(plan_emission(summaries, layout, tmp_path))):
+        out = tmp_path / f"case-{index}"
+        plan_order = [out / "model.xml", *(path for path, _ in plan_emission(summaries, layout, out))]
+        writes = []
+
+        def full_disk(descriptor, data):
+            writes.append(descriptor)
+            if len(writes) > index:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(descriptor, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", full_disk)
+            code, _, stderr = _run(["--in", DRAWING, "--out", str(out), "--layout", layout], capsys)
+        assert code == 1
+        assert stderr.splitlines()[0] == f"{plan_order[index].as_posix()}: error: {os.strerror(errno.ENOSPC)}"
+        assert not out.exists()
 
 
 def _probe_project(root, statement):

@@ -1,4 +1,7 @@
-"""Document aggregation, layouts, file naming, and write determinism."""
+"""Document aggregation, layouts, file naming, and the writer."""
+
+import errno
+import os
 
 import pytest
 
@@ -165,3 +168,70 @@ def test_write_plan_removes_only_the_directories_it_made(tmp_path):
     with pytest.raises(FileExistsError):
         write_plan(planned)
     assert sorted(path.name for path in tmp_path.rglob("*")) == ["blocked", "kept"]
+
+
+def _files(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_short_writes_give_identical_files(drawing_shapes_model, tmp_path, monkeypatch):
+    summaries = summarize_project(drawing_shapes_model, CONFIG)
+    # Longer than one encoding slice, with code points of every UTF-8 width.
+    large = "aé€𝄞" * 20_000
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    write_plan(plan_emission(summaries, PER_IDENTIFIER, whole) + [(whole / "large.txt", large)])
+    real_write = os.write
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", lambda descriptor, data: real_write(descriptor, data[:7]))
+        write_plan(plan_emission(summaries, PER_IDENTIFIER, short) + [(short / "large.txt", large)])
+    assert _files(short) == _files(whole)
+    assert _files(whole)["large.txt"] == large.encode("utf-8")
+
+
+def test_a_longer_target_is_cut_to_length(tmp_path):
+    target = tmp_path / "summary.txt"
+    target.write_text("old content that is much longer than the new one\n" * 20, encoding="utf-8")
+    write_plan([(target, "new\n")])
+    assert target.read_bytes() == b"new\n"
+
+
+def test_rerunning_over_an_identical_tree_updates_every_mtime(drawing_shapes_model, tmp_path):
+    summaries = summarize_project(drawing_shapes_model, CONFIG)
+    empty = summarize_project(CodeModel("empty", ()), CONFIG)
+    planned = plan_emission(summaries, PER_IDENTIFIER, tmp_path) + plan_emission(empty, COMBINED, tmp_path)
+    write_plan(planned)
+    before = _files(tmp_path)
+    assert before["summary.txt"] == b""
+    for path, _ in planned:
+        os.utime(path, ns=(10**9, 10**9))
+    write_plan(planned)
+    assert _files(tmp_path) == before
+    assert [path for path, _ in planned if path.stat().st_mtime_ns <= 10**9] == []
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_write_plan_leaks_no_file_descriptor(drawing_shapes_model, tmp_path, monkeypatch):
+    planned = plan_emission(summarize_project(drawing_shapes_model, CONFIG), PER_IDENTIFIER, tmp_path / "out")
+    opened = _open_descriptors()
+    write_plan(planned)
+    assert _open_descriptors() == opened
+
+    blocked = planned[5][0]
+    blocked.unlink()
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_plan(planned)
+    assert _open_descriptors() == opened
+    blocked.rmdir()
+
+    def full_disk(descriptor, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch, pytest.raises(OSError, match="No space left on device"):
+        patch.setattr(os, "write", full_disk)
+        write_plan(planned)
+    assert _open_descriptors() == opened

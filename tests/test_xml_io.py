@@ -17,8 +17,12 @@ from codesum.model import (
     PackageDecl,
     ParameterDecl,
 )
+from codesum import cli, extractor, xml_io
+from codesum.extractor import parse_project
+from codesum.model import validate_model
 from codesum.xml_io import export_xml, import_xml
 
+from conftest import FIXTURES
 from modelgen import random_model
 
 EMPTY_DOC = '<?xml version="1.0" encoding="UTF-8"?>\n<Project ProjectName="demo">\n  <Packages/>\n</Project>\n'
@@ -132,28 +136,64 @@ def test_superclass_attribute_round_trips_none_and_names():
     assert restored.packages[0].classes[1].superclass == "B"
 
 
-def test_export_rejects_invalid_models():
-    broken = CodeModel(
-        "demo",
-        (
-            PackageDecl(
-                "p",
-                (
-                    ClassDecl(
-                        name="C",
-                        access_level=AccessLevel.PUBLIC,
-                        declared_package="p",
-                        attributes=(
-                            AttributeDecl("x", AccessLevel.PUBLIC, "int"),
-                            AttributeDecl("x", AccessLevel.PUBLIC, "char"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-    with pytest.raises(ValueError, match="invalid model"):
-        export_xml(broken)
+def _duplicate_attribute_model():
+    attributes = (AttributeDecl("x", AccessLevel.PUBLIC, "int"), AttributeDecl("x", AccessLevel.PUBLIC, "char"))
+    cls = ClassDecl(name="C", access_level=AccessLevel.PUBLIC, declared_package="p", attributes=attributes)
+    return CodeModel("demo", (PackageDecl("p", (cls,)),))
+
+
+def _duplicate_attribute_inputs(root):
+    """The same broken model as source code and as a model document."""
+    source = root / "src"
+    source.mkdir()
+    (source / "C.java").write_text("package p;\npublic class C { public int x; public char x; }\n", encoding="utf-8")
+    document = root / "model.xml"
+    document.write_text(export_xml(_duplicate_attribute_model()), encoding="utf-8")
+    return source, document
+
+
+def test_a_broken_model_is_rejected_where_it_enters(tmp_path):
+    source, document = _duplicate_attribute_inputs(tmp_path)
+    model, diagnostics, _ = parse_project(source)
+    assert [str(d) for d in diagnostics if d.severity is Severity.ERROR] == [
+        f"{(source / 'C.java').as_posix()}:2:44: error: duplicate field 'x' in class 'C' (dropped)"
+    ]
+    assert [attribute.declared_type for attribute in model.packages[0].classes[0].attributes] == ["int"]
+
+    _, diagnostics = import_xml(document.read_text(encoding="utf-8"))
+    assert [str(d) for d in diagnostics] == ["<model>: error: p.C.x: duplicate attribute name within class"]
+
+
+def test_a_broken_model_exits_1_and_writes_nothing(tmp_path, capsys):
+    source, document = _duplicate_attribute_inputs(tmp_path)
+    configs = [
+        cli.RunConfig(out_dir=tmp_path / "from-source", input_dir=source),
+        cli.RunConfig(out_dir=tmp_path / "from-xml", xml_path=document, stage=cli.STAGE_SUMMARIZE),
+    ]
+    for config in configs:
+        assert cli.run(config) == 1
+        assert not config.out_dir.exists()
+    assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", [cli.STAGE_EXTRACT, cli.STAGE_SUMMARIZE, cli.STAGE_FULL])
+def test_a_model_is_validated_once_per_run(stage, tmp_path, monkeypatch, capsys):
+    extracted = tmp_path / "extracted"
+    assert cli.run(cli.RunConfig(out_dir=extracted, input_dir=FIXTURES / "drawing-shapes", stage=cli.STAGE_EXTRACT)) == 0
+    calls = []
+
+    def counting_validate(model):
+        calls.append(model.project_name)
+        return validate_model(model)
+
+    monkeypatch.setattr(extractor, "validate_model", counting_validate)
+    monkeypatch.setattr(xml_io, "validate_model", counting_validate)
+    if stage == cli.STAGE_SUMMARIZE:
+        config = cli.RunConfig(out_dir=tmp_path / "out", xml_path=extracted / "model.xml", stage=stage)
+    else:
+        config = cli.RunConfig(out_dir=tmp_path / "out", input_dir=FIXTURES / "drawing-shapes", stage=stage)
+    assert cli.run(config) == 0
+    assert calls == ["drawing-shapes"]
 
 
 def test_malformed_document_is_an_error():
