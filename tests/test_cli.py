@@ -5,6 +5,9 @@ import gc
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -559,3 +562,44 @@ def test_a_run_makes_no_reference_cycles(case, tmp_path, capsys):
         stderr = capsys.readouterr().err
         assert "illegal character '#'" in stderr
         assert "skipping to next top-level declaration" in stderr
+
+
+# Output must not depend on the interpreter's string hash seed, which orders
+# sets and decides dict collisions.
+HASH_SEED_RUNS = {
+    **{
+        f"{project}-{layout}": ["--in", str(FIXTURES / project), "--layout", layout]
+        for project in ("drawing-shapes", "nanoxml-like", "argouml-like")
+        for layout in ("combined", "per-identifier")
+    },
+    "lenient-extract-with-warnings": ["--in", "src", "--mode", "lenient", "--stage", "extract"],
+}
+
+
+def _tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(HASH_SEED_RUNS))
+def test_output_does_not_depend_on_the_hash_seed(case, tmp_path):
+    source_path = Path(cli.__file__).resolve().parents[1]
+    results = []
+    for seed in ("0", "1"):
+        workdir = tmp_path / f"seed-{seed}"
+        (workdir / "src").mkdir(parents=True)
+        (workdir / "src" / "W.java").write_text(
+            "package p;\nimport q.R;\nclass W extends V { int f; void m(R r) { r.g(f).h(); } }\n"
+            "interface I {}\nclass X { void n( { } }\nclass Y { W w; void k() { w.m(null); this.w.f = 1; } }\n",
+            encoding="utf-8",
+        )
+        environment = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(source_path)}
+        completed = subprocess.run(
+            [sys.executable, "-m", "codesum.cli", *HASH_SEED_RUNS[case], "--out", "out"],
+            cwd=workdir, env=environment, capture_output=True,
+        )
+        results.append((completed.returncode, completed.stdout, completed.stderr, _tree_bytes(workdir / "out")))
+    assert results[0] == results[1]
+    code, stdout, stderr, outputs = results[0]
+    assert code == 0 and stdout == b"" and outputs
+    if case == "lenient-extract-with-warnings":
+        assert b"warnings: 2" in stderr

@@ -199,6 +199,64 @@ def test_resolution_prefers_locals_over_parameters_over_fields():
     assert _accesses(other) == [("s", "String")]
 
 
+def test_local_initializer_resolves_before_the_local_is_in_scope():
+    source = "package p; class C { F x; void m() { T x = x.make(); x.use(); } }"
+    method = _single_class_method(source)
+    assert _accesses(method) == [("x", "F")]
+    assert _invocations(method) == [("make", "F"), ("use", "T")]
+    assert [(v.name, v.declared_type) for v in method.local_variables] == [("x", "T")]
+
+
+def test_for_each_iterable_resolves_before_the_variable_is_in_scope():
+    source = "package p; class C { F x; void m() { for (T x : x.all()) { x.use(); } } }"
+    method = _single_class_method(source)
+    assert _accesses(method) == [("x", "F")]
+    assert _invocations(method) == [("all", "F"), ("use", "T")]
+
+
+def test_locals_stay_in_scope_after_their_block():
+    method = _single_class_method("package p; class C { void m() { { int a = 0; } a.f(); } }")
+    assert _accesses(method) == [("a", "int")]
+    assert _invocations(method) == [("f", "int")]
+
+
+def test_parenthesized_receiver_types_the_call_but_is_no_access():
+    method = _single_class_method("package p; class C { void m(P x) { (x).f(); ((x)).g(); (this).h(); } }")
+    assert _invocations(method) == [("f", "P"), ("g", "P"), ("h", "C")]
+    assert _accesses(method) == []
+    selected = _single_class_method("package p; class C { int y; void m(P x) { int a = (x).y + (this).y; } }")
+    assert _accesses(selected) == [("y", "unknown")]
+
+
+def test_cast_receiver_is_external():
+    method = _single_class_method("package p; class C { void m(P x) { ((T) x).f(); (T) x.g(); } }")
+    assert _invocations(method) == [("f", "external"), ("g", "P")]
+    assert _accesses(method) == [("x", "P")]
+
+
+def test_field_initializer_calls_appear_in_no_method():
+    source = "package p; class C { int x = compute(), y = other.make(); C() { } void m() { run(); } }"
+    model, diagnostics = build_model([_unit(source)], "test")
+    assert not has_errors(diagnostics)
+    cls = lookup_class(model, "p", "C")
+    assert [(m.name, _invocations(m), _accesses(m)) for m in cls.methods] == [("C", [], []), ("m", [("run", "C")], [])]
+
+
+@pytest.mark.parametrize("delegation", ["this", "super"])
+def test_constructor_delegation_arguments_are_walked(delegation):
+    source = f"package p; class C extends B {{ C(P p) {{ {delegation}(p.get(), make()); }} }}"
+    method = _single_class_method(source, method_name="C")
+    assert _invocations(method) == [("get", "P"), ("make", "C")]
+    assert _accesses(method) == [("p", "P")]
+
+
+def test_class_literal_operand_is_a_receiver():
+    source = "package p; class C { void m(P x) { Object a = x.class, b = Q.class.getName(), c = int.class; } }"
+    method = _single_class_method(source)
+    assert _accesses(method) == [("x", "P"), ("Q", "unknown")]
+    assert _invocations(method) == [("getName", "external")]
+
+
 def test_build_model_groups_by_package_in_first_appearance_order():
     units = [
         _unit("package b; class One {}", "One.java"),

@@ -1,15 +1,18 @@
 """Parse-tree shape, recovery behavior, and subset boundaries."""
 
 import hashlib
+import random
 from dataclasses import fields, is_dataclass
 
 import pytest
 
 from codesum import syntax as syn
 from codesum.diagnostics import Severity, has_errors
+from codesum.extractor import build_model
 from codesum.lexer import Positions, Tokens, tokenize
 from codesum.model import AccessLevel
 from codesum.parser import _MAX_NESTING, parse_compilation_unit
+from codesum.xml_io import export_xml
 
 from conftest import FIXTURES
 
@@ -387,30 +390,103 @@ def _dump(node, tokens: Tokens) -> str:
 # sha256 over every parse below, recorded with the same dump of Token-based
 # trees before positions became token indexes.
 _TRUNCATION_DIGEST = "66d193a33c2f9b109f710aeab04e8f15042519a76c6dacc12b880b86188a020d"
+# sha256 of ``_model_digest`` over the same parses, recorded before method
+# bodies were parsed straight into dependency events.
+_TRUNCATION_MODEL_DIGEST = "43f7c76b88732f42976a17a929e85f256875bea284a0222ecb5899b95973d0b5"
+
+
+def _fixture_tokens():
+    """Each fixture file's name, clean tokens and token offsets."""
+    for path in sorted(FIXTURES.rglob("*.java")):
+        name = path.relative_to(FIXTURES).as_posix()
+        tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), name, True)
+        assert lex_diagnostics == []
+        yield name, tokens, [tokens.positions.offset(index) for index in range(len(tokens))]
+
+
+def _variant(tokens: Tokens, kept: list[tuple[str, int]]) -> Tokens:
+    """Tokens with the given texts, each at the given source offset."""
+    return Tokens([text for text, _ in kept], Positions(tokens.positions.source, [offset for _, offset in kept]))
+
+
+def _truncation_corpus():
+    """Every token prefix and every single-token deletion of every fixture
+    file. A variant keeps each remaining token's text and source offset."""
+    for name, tokens, offsets in _fixture_tokens():
+        kept = list(zip(tokens.texts, offsets))
+        prefixes = [kept[:end] for end in range(len(kept) + 1)]
+        deletions = [kept[:index] + kept[index + 1:] for index in range(len(kept))]
+        for entries in prefixes + deletions:
+            yield name, _variant(tokens, entries)
+
+
+# Tokens a mutation inserts: brackets, operators, keywords and a name, plus
+# three casts inserted whole.
+_MUTATION_TOKENS = [
+    *"()[]{};,.=+-*/<>?:!", "++", "--", "&&", "+=", "instanceof", "new", "this", "super", "return",
+    "if", "else", "for", "while", "do", "class", "final", "int", "x",
+]
+_MUTATION_CASTS = [("(", "int", ")"), ("(", "T", ")"), ("(", "String", ")")]
+
+
+def _mutation_corpus(seed: int = 8, per_file: int = 300):
+    """``per_file`` seeded mutants of every fixture file, each made by one to
+    three edits: a token deleted, duplicated, or inserted from the pools above."""
+    rng = random.Random(seed)
+    for name, tokens, offsets in _fixture_tokens():
+        kept = list(zip(tokens.texts, offsets))
+        for _ in range(per_file):
+            mutant = kept.copy()
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(mutant))
+                edit = rng.choice(("delete", "duplicate", "insert", "cast"))
+                if edit == "delete":
+                    del mutant[at]
+                elif edit == "duplicate":
+                    mutant.insert(at, mutant[at])
+                else:
+                    texts = (rng.choice(_MUTATION_TOKENS),) if edit == "insert" else rng.choice(_MUTATION_CASTS)
+                    mutant[at:at] = [(text, mutant[at][1]) for text in texts]
+            yield name, _variant(tokens, mutant)
+
+
+def _model_digest(corpus) -> str:
+    """sha256 over each variant's exported model and every diagnostic of its
+    parse and build, in both modes."""
+    digest = hashlib.sha256()
+    for name, variant in corpus:
+        for strict in (True, False):
+            unit, diagnostics = parse_compilation_unit(variant, name, strict)
+            if unit is not None:
+                model, build_diagnostics = build_model([unit], "golden")
+                digest.update(export_xml(model).encode())
+                diagnostics = diagnostics + build_diagnostics
+            for diagnostic in diagnostics:
+                digest.update(f"\n{diagnostic}".encode())
+            digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def test_truncated_fixture_input_parses_as_recorded():
-    """Every token prefix and every single-token deletion of every fixture
-    file, in both modes: the trees and diagnostics hash to a recorded digest.
-    A variant keeps each remaining token's text and source offset."""
+    """Every prefix and single-token deletion of every fixture file, in both
+    modes: the trees and diagnostics hash to one recorded digest, and the
+    models and diagnostics to another."""
     digest = hashlib.sha256()
-    for path in sorted(FIXTURES.rglob("*.java")):
-        name = path.relative_to(FIXTURES).as_posix()
-        source = path.read_text(encoding="utf-8")
-        tokens, lex_diagnostics = tokenize(source, name, True)
-        assert lex_diagnostics == []
-        kept = range(len(tokens))
-        prefixes = [kept[:end] for end in range(len(tokens) + 1)]
-        deletions = [[*kept[:index], *kept[index + 1:]] for index in range(len(tokens))]
-        offsets = [tokens.positions.offset(index) for index in kept]
-        for indexes in prefixes + deletions:
-            variant = Tokens(
-                [tokens.texts[index] for index in indexes], Positions(source, [offsets[index] for index in indexes])
-            )
-            for strict in (True, False):
-                unit, diagnostics = parse_compilation_unit(variant, name, strict)
-                digest.update(_dump(unit, variant).encode())
-                for diagnostic in diagnostics:
-                    digest.update(f"\n{diagnostic}".encode())
-                digest.update(b"\0")
+    for name, variant in _truncation_corpus():
+        for strict in (True, False):
+            unit, diagnostics = parse_compilation_unit(variant, name, strict)
+            digest.update(_dump(unit, variant).encode())
+            for diagnostic in diagnostics:
+                digest.update(f"\n{diagnostic}".encode())
+            digest.update(b"\0")
     assert digest.hexdigest() == _TRUNCATION_DIGEST
+    assert _model_digest(_truncation_corpus()) == _TRUNCATION_MODEL_DIGEST
+
+
+# sha256 of ``_model_digest`` over ``_mutation_corpus()``, recorded before
+# method bodies were parsed straight into dependency events.
+_MUTATION_MODEL_DIGEST = "3707abe117e2ca6638f9a92ba5474208f11620ef09ece0bb0fc3ce8e5b8fbccf"
+
+
+def test_token_mutations_build_as_recorded():
+    assert _model_digest(_mutation_corpus()) == _MUTATION_MODEL_DIGEST
