@@ -1,32 +1,26 @@
-"""Builds the project model from parse trees.
+"""Builds the project model from parsed units.
 
-Dependency extraction walks each method body and records, in source order:
+Each method's dependency events (see ``parser``) are resolved in one loop, in
+the order the parser emitted them, which is source order. The model records:
 
-* attribute accesses: every simple name used as the receiver of a call or
-  field selection (unless it is ``this`` or names a known type), and every
-  selected field name outside call position; deduplicated by name, first
-  occurrence wins;
+* local variables, in declaration order;
+* attribute accesses: every simple name used as the receiver of a call, a
+  field selection or ``.class`` (unless it names a known type and no
+  variable), and every selected field name outside call position;
+  deduplicated by name, first occurrence wins;
 * method invocations: every called method name, duplicates preserved.
 
-Receivers resolve against locals, then parameters, then fields; unresolvable
-names degrade to the ``unknown``/``external`` sentinels rather than failing.
-
-Statements are walked recursively and in order, because a local is in scope
-only after its declaration; an ``else if`` chain is walked in a loop.
-Expressions are walked with an explicit stack in any order, driven by the
-``_OPERANDS`` table; their events carry token indexes and are sorted by them
-afterwards, since index order is source order, so no chain of calls or
-operators costs a stack frame.
+Names resolve against locals, then parameters, then fields, then known types
+(classes of the model and imported simple names); unresolvable names degrade
+to the ``unknown``/``external`` sentinels rather than failing. A local is in
+scope from its event to the end of the method: it is not dropped at the end
+of its block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable
 
-from . import syntax as syn
 from .diagnostics import Diagnostic, Severity, error, warning
 from .lexer import tokenize
 from .model import (
@@ -43,181 +37,11 @@ from .model import (
     ParameterDecl,
     validate_model,
 )
-from .parser import parse_compilation_unit
+from .parser import ClassSyntax, CompilationUnit, MethodSyntax, parse_compilation_unit
 
 # Package used for classes whose file has no package declaration; the name is
 # a reserved word in the grammar, so it cannot collide with a declared one.
 DEFAULT_PACKAGE = "default"
-
-
-@dataclass
-class ResolutionContext:
-    """Name-resolution scope for one method body."""
-
-    enclosing_class: str
-    superclass: str | None
-    fields: dict[str, str]
-    parameters: dict[str, str]
-    known_types: set[str]
-    locals: dict[str, str] = field(default_factory=dict)
-
-    def resolve_variable(self, name: str) -> str | None:
-        """Declared type of ``name``; locals shadow parameters shadow fields."""
-        for scope in (self.locals, self.parameters, self.fields):
-            if name in scope:
-                return scope[name]
-        return None
-
-
-@dataclass
-class _Analysis:
-    locals: list[LocalVariableDecl] = field(default_factory=list)
-    # (token index, payload) events; sorted by index afterwards so that tree
-    # walk order never leaks into the output.
-    accesses: list[tuple[int, AttributeAccess]] = field(default_factory=list)
-    invocations: list[tuple[int, MethodInvocation]] = field(default_factory=list)
-
-
-def analyze_method_body(
-    body: syn.BlockStmt | None, ctx: ResolutionContext
-) -> tuple[list[LocalVariableDecl], list[AttributeAccess], list[MethodInvocation]]:
-    """Collect locals, attribute accesses, and invocations from one body."""
-    analysis = _Analysis()
-    if body is not None:
-        _walk_statement(body, ctx, analysis)
-
-    first_accesses: dict[str, AttributeAccess] = {}
-    for _, access in sorted(analysis.accesses, key=itemgetter(0)):
-        first_accesses.setdefault(access.name, access)
-    invocations = [invocation for _, invocation in sorted(analysis.invocations, key=itemgetter(0))]
-    return analysis.locals, list(first_accesses.values()), invocations
-
-
-def _walk_statement(stmt: syn.Stmt, ctx: ResolutionContext, out: _Analysis) -> None:
-    if isinstance(stmt, syn.BlockStmt):
-        for inner in stmt.statements:
-            _walk_statement(inner, ctx, out)
-    elif isinstance(stmt, syn.LocalDeclStmt):
-        for declarator in stmt.declarators:
-            if declarator.initializer is not None:
-                _walk_expression(declarator.initializer, ctx, out)
-            declared_type = stmt.type_text + declarator.extra_dims
-            # The variable is in scope only after its own initializer.
-            ctx.locals[declarator.name] = declared_type
-            out.locals.append(LocalVariableDecl(declarator.name, declared_type))
-    elif isinstance(stmt, syn.ExprStmt):
-        _walk_expression(stmt.expression, ctx, out)
-    elif isinstance(stmt, syn.ReturnStmt):
-        if stmt.value is not None:
-            _walk_expression(stmt.value, ctx, out)
-    elif isinstance(stmt, syn.ThrowStmt):
-        _walk_expression(stmt.value, ctx, out)
-    elif isinstance(stmt, syn.IfStmt):
-        # An else-if chain is walked in a loop, so its length costs no stack.
-        while isinstance(stmt, syn.IfStmt):
-            _walk_expression(stmt.condition, ctx, out)
-            _walk_statement(stmt.then_branch, ctx, out)
-            stmt = stmt.else_branch
-        if stmt is not None:
-            _walk_statement(stmt, ctx, out)
-    elif isinstance(stmt, syn.WhileStmt):
-        _walk_expression(stmt.condition, ctx, out)
-        _walk_statement(stmt.body, ctx, out)
-    elif isinstance(stmt, syn.DoWhileStmt):
-        _walk_statement(stmt.body, ctx, out)
-        _walk_expression(stmt.condition, ctx, out)
-    elif isinstance(stmt, syn.ForStmt):
-        if isinstance(stmt.init, syn.LocalDeclStmt):
-            _walk_statement(stmt.init, ctx, out)
-        elif isinstance(stmt.init, list):
-            for expression in stmt.init:
-                _walk_expression(expression, ctx, out)
-        if stmt.condition is not None:
-            _walk_expression(stmt.condition, ctx, out)
-        for expression in stmt.update:
-            _walk_expression(expression, ctx, out)
-        _walk_statement(stmt.body, ctx, out)
-    elif isinstance(stmt, syn.ForEachStmt):
-        _walk_expression(stmt.iterable, ctx, out)
-        ctx.locals[stmt.name] = stmt.type_text
-        out.locals.append(LocalVariableDecl(stmt.name, stmt.type_text))
-        _walk_statement(stmt.body, ctx, out)
-    # Break/Continue/Empty carry nothing.
-
-
-def _record_receiver_name(receiver: syn.NameExpr, ctx: ResolutionContext, out: _Analysis) -> None:
-    name = receiver.name
-    resolved = ctx.resolve_variable(name)
-    if resolved is None and name in ctx.known_types:
-        return
-    out.accesses.append((receiver.token, AttributeAccess(name, resolved if resolved is not None else UNKNOWN_TYPE)))
-
-
-def _receiver_type(receiver: syn.Expr | None, ctx: ResolutionContext) -> str:
-    if receiver is None or isinstance(receiver, syn.ThisExpr):
-        return ctx.enclosing_class
-    if isinstance(receiver, syn.SuperExpr):
-        return ctx.superclass if ctx.superclass else EXTERNAL_RECEIVER
-    if isinstance(receiver, syn.ParenExpr):
-        return _receiver_type(receiver.inner, ctx)
-    if isinstance(receiver, syn.NewExpr):
-        return receiver.type_text
-    if isinstance(receiver, syn.NameExpr):
-        resolved = ctx.resolve_variable(receiver.name)
-        if resolved is not None:
-            return resolved
-        if receiver.name in ctx.known_types:
-            return receiver.name
-    return EXTERNAL_RECEIVER
-
-
-# Sub-expressions of each node kind that records nothing itself; kinds not
-# listed (names, literals, ``this``, ``super``) have none. A bare name that is
-# neither a receiver nor a selected field is not an attribute access.
-_OPERANDS: dict[type, Callable[[Any], Iterable[syn.Expr | None]]] = {
-    syn.ConstructorDelegationExpr: lambda expr: expr.arguments,
-    syn.NewExpr: lambda expr: expr.arguments,
-    syn.ArrayCreationExpr: lambda expr: (*expr.dimensions, expr.initializer),
-    syn.ArrayInitExpr: lambda expr: expr.values,
-    syn.IndexExpr: lambda expr: (expr.array, expr.index),
-    syn.UnaryExpr: lambda expr: (expr.operand,),
-    syn.BinaryExpr: lambda expr: (expr.left, expr.right),
-    syn.AssignExpr: lambda expr: (expr.target, expr.value),
-    syn.ConditionalExpr: lambda expr: (expr.condition, expr.if_true, expr.if_false),
-    syn.CastExpr: lambda expr: (expr.operand,),
-    syn.ParenExpr: lambda expr: (expr.inner,),
-    syn.InstanceofExpr: lambda expr: (expr.operand,),
-}
-
-
-def _walk_expression(expr: syn.Expr, ctx: ResolutionContext, out: _Analysis) -> None:
-    """Record the accesses and invocations in one expression."""
-    stack: list[syn.Expr | None] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, syn.FieldSelectExpr):
-            receiver = node.receiver
-            resolved = UNKNOWN_TYPE
-            if isinstance(receiver, syn.ThisExpr):
-                resolved = ctx.fields.get(node.name, UNKNOWN_TYPE)
-            out.accesses.append((node.token, AttributeAccess(node.name, resolved)))
-        elif isinstance(node, syn.CallExpr):
-            receiver = node.receiver
-            out.invocations.append((node.token, MethodInvocation(node.name, _receiver_type(receiver, ctx))))
-            stack.extend(node.arguments)
-        elif isinstance(node, syn.ClassLiteralExpr):
-            receiver = node.operand
-        else:
-            operands = _OPERANDS.get(type(node))
-            if operands is not None:
-                stack.extend(operands(node))
-            continue
-        # A receiver that is a simple name is an access; None (no receiver)
-        # walks to nothing.
-        if isinstance(receiver, syn.NameExpr):
-            _record_receiver_name(receiver, ctx, out)
-        else:
-            stack.append(receiver)
 
 
 def _import_simple_names(imports: list[str]) -> set[str]:
@@ -230,7 +54,7 @@ def _import_simple_names(imports: list[str]) -> set[str]:
 
 
 def build_model(
-    units: list[syn.CompilationUnit], project_name: str
+    units: list[CompilationUnit], project_name: str
 ) -> tuple[CodeModel, list[Diagnostic]]:
     """Assemble one model from parsed units, grouping classes by package.
 
@@ -270,10 +94,10 @@ def build_model(
 
 
 def _build_class(
-    cls: syn.ClassSyntax,
+    cls: ClassSyntax,
     package_name: str,
     known_types: set[str],
-    unit: syn.CompilationUnit,
+    unit: CompilationUnit,
     diagnostics: list[Diagnostic],
 ) -> ClassDecl:
     attributes: list[AttributeDecl] = []
@@ -291,28 +115,7 @@ def _build_class(
         field_types[field_syntax.name] = field_syntax.type_text
         attributes.append(AttributeDecl(field_syntax.name, field_syntax.access_level, field_syntax.type_text))
 
-    methods: list[MethodDecl] = []
-    for method_syntax in cls.methods:
-        ctx = ResolutionContext(
-            enclosing_class=cls.name,
-            superclass=cls.superclass,
-            fields=dict(field_types),
-            parameters={param.name: param.type_text for param in method_syntax.parameters},
-            known_types=known_types,
-        )
-        locals_, accesses, invocations = analyze_method_body(method_syntax.body, ctx)
-        methods.append(
-            MethodDecl(
-                name=method_syntax.name,
-                access_level=method_syntax.access_level,
-                return_type=method_syntax.return_type,
-                declared_class=cls.name,
-                parameters=tuple(ParameterDecl(param.name, param.type_text) for param in method_syntax.parameters),
-                local_variables=tuple(locals_),
-                attribute_accesses=tuple(accesses),
-                method_invocations=tuple(invocations),
-            )
-        )
+    methods = [_build_method(method, cls, field_types, known_types) for method in cls.methods]
 
     return ClassDecl(
         name=cls.name,
@@ -321,6 +124,59 @@ def _build_class(
         superclass=cls.superclass,
         attributes=tuple(attributes),
         methods=tuple(methods),
+    )
+
+
+def _build_method(
+    method: MethodSyntax, cls: ClassSyntax, field_types: dict[str, str], known_types: set[str]
+) -> MethodDecl:
+    """Resolve the method's events against its locals, parameters and
+    fields; a local shadows a parameter, which shadows a field."""
+    parameters = tuple(ParameterDecl(param.name, param.type_text) for param in method.parameters)
+    variables = {**field_types, **{param.name: param.type_text for param in method.parameters}}
+    local_variables = []
+    accesses: dict[str, AttributeAccess] = {}
+    invocations = []
+    for event in method.events:
+        kind = event[0]
+        if kind == "call":
+            receiver = event[3]
+            if receiver is None or receiver == "this":
+                accessed_in = cls.name
+            elif receiver == "super":
+                accessed_in = cls.superclass or EXTERNAL_RECEIVER
+            elif receiver.startswith("new "):
+                accessed_in = receiver[4:]
+            else:
+                # A simple name, or "" for any other receiver.
+                accessed_in = variables.get(receiver) or (receiver if receiver in known_types else EXTERNAL_RECEIVER)
+            invocations.append(MethodInvocation(event[2], accessed_in))
+        elif kind == "local":
+            _, name, declared_type = event
+            variables[name] = declared_type
+            local_variables.append(LocalVariableDecl(name, declared_type))
+        else:
+            name = event[2]
+            if name in accesses:
+                continue
+            if kind == "field":
+                resolved = field_types.get(name, UNKNOWN_TYPE) if event[3] else UNKNOWN_TYPE
+            else:
+                resolved = variables.get(name)
+                if resolved is None:
+                    if name in known_types:
+                        continue
+                    resolved = UNKNOWN_TYPE
+            accesses[name] = AttributeAccess(name, resolved)
+    return MethodDecl(
+        name=method.name,
+        access_level=method.access_level,
+        return_type=method.return_type,
+        declared_class=cls.name,
+        parameters=parameters,
+        local_variables=tuple(local_variables),
+        attribute_accesses=tuple(accesses.values()),
+        method_invocations=tuple(invocations),
     )
 
 
@@ -345,7 +201,7 @@ def parse_project(
     """
     name = project_name if project_name is not None else root.name
     diagnostics: list[Diagnostic] = []
-    units: list[syn.CompilationUnit] = []
+    units: list[CompilationUnit] = []
     source_length = 0
 
     files = discover_source_files(root, extension)

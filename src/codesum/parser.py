@@ -5,11 +5,29 @@ single extends clause, fields, methods, and constructors with statement
 bodies. Interfaces, enums, annotations, nested classes, lambdas, and
 initializer blocks are outside the subset and are skipped with a warning.
 
+A unit keeps declarations only. A method body becomes a flat list of
+dependency events, appended as the body is parsed (syntax-directed
+translation); ``build_model`` resolves them. Each event is a plain tuple:
+
+* ``("local", name, type)``: a local variable enters scope, after its own
+  initializer; a for-each variable after its iterable;
+* ``("field", token, name, on_this)``: a field is selected, ``on_this`` when
+  the receiver is an unparenthesized ``this``;
+* ``("call", token, name, receiver)``: a method is called;
+* ``("name", token, name)``: an unparenthesized simple name is the receiver
+  of a call, a field selection or ``.class``.
+
+A call's ``receiver`` is None (no receiver), ``"this"``, ``"super"``,
+``"new T"``, a simple name, or ``""`` for anything else; parentheses around
+it are dropped. ``token`` is the index of the name's token. Events come in
+source order. A field initializer is parsed and checked like any expression,
+but its events are dropped.
+
 Expressions are parsed by precedence climbing over ``_BINARY_PRECEDENCE``:
 one loop per operand, recursing only for a tighter-binding right operand.
-Chains are read in loops and folded afterwards, so their length costs no
-stack: prefix operators and casts, assignments, the false branches of ``?:``
-and ``else if`` arms. Every construct that nests (statements within
+Chains are read in loops, so their length costs no stack: prefix operators
+and casts, postfix selections and calls, assignments, the false branches of
+``?:`` and ``else if`` arms. Every construct that nests (statements within
 statements, expressions within expressions, binary right operands, array
 initializers) counts towards ``_MAX_NESTING``; input nested deeper is a syntax
 problem, so no input can exhaust the interpreter's stack.
@@ -17,9 +35,9 @@ problem, so no input can exhaust the interpreter's stack.
 Tokens are read by index from the file's ``Tokens.texts``. For the length
 of a parse that list runs two entries past the last token, as ``""``, so any
 lookahead reads past the end without a bounds check and finds "no token"
-there. A token's kind is derived from its text where a rule needs it. Nodes
-and failures carry token indexes; an index becomes a line and column only
-when a diagnostic is made.
+there. A token's kind is derived from its text where a rule needs it.
+Declarations, events and failures carry token indexes; an index becomes a
+line and column only when a diagnostic is made.
 
 Strict mode stops at the first syntax problem in a file; lenient mode records
 it as a warning and resumes at the next top-level declaration.
@@ -27,10 +45,11 @@ it as a warning and resumes at the next top-level declaration.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .diagnostics import Diagnostic, error, warning
 from .lexer import KEYWORDS, PRIMITIVE_TYPES, Positions, Tokens, TokenKind, token_kind
 from .model import AccessLevel
-from . import syntax as syn
 
 _ACCESS_KEYWORDS = {
     "public": AccessLevel.PUBLIC,
@@ -99,6 +118,53 @@ class _ParseFailure(Exception):
         self.token = token
 
 
+@dataclass
+class ParamSyntax:
+    name: str
+    token: int
+    type_text: str
+
+
+@dataclass
+class FieldSyntax:
+    name: str
+    token: int
+    access_level: AccessLevel
+    type_text: str
+
+
+@dataclass
+class MethodSyntax:
+    """A method or constructor; constructors carry the class name as return
+    type. ``events`` are its body's dependency events (module docstring)."""
+
+    name: str
+    token: int
+    access_level: AccessLevel
+    return_type: str
+    parameters: list[ParamSyntax] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)
+
+
+@dataclass
+class ClassSyntax:
+    name: str
+    token: int
+    access_level: AccessLevel
+    superclass: str | None = None
+    fields: list[FieldSyntax] = field(default_factory=list)
+    methods: list[MethodSyntax] = field(default_factory=list)
+
+
+@dataclass
+class CompilationUnit:
+    file: str
+    positions: Positions = field(repr=False, compare=False)
+    package: str | None = None
+    imports: list[str] = field(default_factory=list)
+    classes: list[ClassSyntax] = field(default_factory=list)
+
+
 def _append_type_text(buffer: str, text: str) -> str:
     if text == ",":
         return buffer + ", "
@@ -118,6 +184,8 @@ class _Parser:
         self.depth = 0
         # Token index just past the type operand of the latest ``instanceof``.
         self.type_operand_end = -1
+        # Where events go: the body's list while a method body is parsed.
+        self.events: list[tuple] = []
         self.diagnostics: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
@@ -179,8 +247,8 @@ class _Parser:
     # ------------------------------------------------------------------
     # compilation unit
 
-    def parse_unit(self) -> tuple[syn.CompilationUnit | None, list[Diagnostic]]:
-        unit = syn.CompilationUnit(self.file, self.positions)
+    def parse_unit(self) -> tuple[CompilationUnit | None, list[Diagnostic]]:
+        unit = CompilationUnit(self.file, self.positions)
         try:
             self._skip_annotations()
             if self._check("package"):
@@ -363,9 +431,9 @@ class _Parser:
     # ------------------------------------------------------------------
     # class members
 
-    def _parse_class(self, access: AccessLevel) -> syn.ClassSyntax:
+    def _parse_class(self, access: AccessLevel) -> ClassSyntax:
         name = self._expect_identifier("after 'class'")
-        cls = syn.ClassSyntax(self.texts[name], name, access)
+        cls = ClassSyntax(self.texts[name], name, access)
         if self._check("<"):
             self._warn_at("unsupported construct: generic type parameters (skipped)", self.pos)
             self._consume_generic_arguments("")
@@ -383,7 +451,7 @@ class _Parser:
         self._expect_text("}", "to close class body")
         return cls
 
-    def _parse_member(self, cls: syn.ClassSyntax) -> None:
+    def _parse_member(self, cls: ClassSyntax) -> None:
         self._skip_annotations()
         if self._match(";"):
             return
@@ -401,36 +469,28 @@ class _Parser:
             return
         # The class name is an identifier, so a token with its text is one too.
         if text == cls.name and self.texts[self.pos + 1] == "(":
-            name = self._advance()
-            cls.methods.append(self._parse_method(name, access, cls.name, is_constructor=True))
+            cls.methods.append(self._parse_method(self._advance(), access, cls.name))
             return
         type_text = self._parse_type("for member declaration")
         name = self._expect_identifier("for member name")
         if self._check("("):
-            cls.methods.append(self._parse_method(name, access, type_text, is_constructor=False))
-        else:
-            declaration = self._parse_declarator_list(type_text, name, "field declaration")
-            self._expect_text(";", "after field declaration")
-            for declarator in declaration.declarators:
-                cls.fields.append(
-                    syn.FieldSyntax(
-                        declarator.name, declarator.token, access, type_text + declarator.extra_dims, declarator.initializer
-                    )
-                )
+            cls.methods.append(self._parse_method(name, access, type_text))
+            return
+        # Nothing reads a field initializer's events.
+        self.events = []
+        for token, declared_type in self._parse_declarators(type_text, name, "field declaration"):
+            cls.fields.append(FieldSyntax(self.texts[token], token, access, declared_type))
+        self._expect_text(";", "after field declaration")
 
-    def _parse_method(
-        self, name: int, access: AccessLevel, return_type: str, is_constructor: bool
-    ) -> syn.MethodSyntax:
-        method = syn.MethodSyntax(self.texts[name], name, access, return_type, is_constructor)
+    def _parse_method(self, name: int, access: AccessLevel, return_type: str) -> MethodSyntax:
+        method = MethodSyntax(self.texts[name], name, access, return_type)
         self._expect_text("(", "to open parameter list")
         if not self._check(")"):
             while True:
                 self._match("final")
                 param_type = self._parse_type("for parameter")
                 param_name = self._expect_identifier("for parameter name")
-                method.parameters.append(
-                    syn.ParamSyntax(self.texts[param_name], param_name, param_type + self._parse_dims())
-                )
+                method.parameters.append(ParamSyntax(self.texts[param_name], param_name, param_type + self._parse_dims()))
                 if not self._match(","):
                     break
         self._expect_text(")", "to close parameter list")
@@ -439,113 +499,102 @@ class _Parser:
             while self._match(","):
                 self._parse_qualified_name("in throws clause")
         if not self._match(";"):
-            method.body = self._parse_block()
+            self.events = method.events
+            self._parse_block()
         return method
 
     # ------------------------------------------------------------------
     # statements
 
-    def _parse_block(self) -> syn.BlockStmt:
+    def _parse_block(self) -> None:
         self._expect_text("{", "to open block")
-        block = syn.BlockStmt()
         while not self._check("}"):
             if self._at_end():
                 raise self._fail("unexpected end of file in block")
-            block.statements.append(self._parse_statement())
+            self._parse_statement()
         self._expect_text("}", "to close block")
-        return block
 
-    def _parse_statement(self) -> syn.Stmt:
+    def _parse_statement(self) -> None:
         text = self.texts[self.pos]
         if not text:
             raise self._fail("expected statement")
         with self:
             if text == "{":
-                return self._parse_block()
-            if text == ";":
+                self._parse_block()
+            elif text == ";":
                 self._advance()
-                return syn.EmptyStmt()
-            if text in KEYWORDS:
+            elif text in KEYWORDS:
                 handler = _STATEMENT_HANDLERS.get(text)
                 if handler is not None:
-                    return handler(self)
-                if text in ("break", "continue"):
+                    handler(self)
+                elif text in ("break", "continue"):
                     self._advance()
                     self._expect_text(";", f"after {text!r}")
-                    return syn.BreakStmt() if text == "break" else syn.ContinueStmt()
-                if text == "final":
-                    if self._looks_like_local_declaration(self.pos + 1):
-                        self._advance()
-                        return self._parse_local_declaration()
-                    raise self._fail("expected declaration after 'final'")
-                if text in PRIMITIVE_TYPES:
-                    return self._parse_local_declaration()
-                if text in ("this", "super", "new") or text in _LITERAL_KEYWORDS:
-                    return self._parse_expression_statement()
-                raise self._fail(f"unsupported statement {text!r}")
-            if self._looks_like_local_declaration(self.pos):
-                return self._parse_local_declaration()
-            return self._parse_expression_statement()
+                elif text == "final":
+                    if not self._looks_like_local_declaration(self.pos + 1):
+                        raise self._fail("expected declaration after 'final'")
+                    self._advance()
+                    self._parse_local_declaration()
+                elif text in PRIMITIVE_TYPES:
+                    self._parse_local_declaration()
+                elif text in ("this", "super", "new") or text in _LITERAL_KEYWORDS:
+                    self._parse_expression_statement()
+                else:
+                    raise self._fail(f"unsupported statement {text!r}")
+            elif self._looks_like_local_declaration(self.pos):
+                self._parse_local_declaration()
+            else:
+                self._parse_expression_statement()
 
-    def _parse_expression_statement(self) -> syn.ExprStmt:
-        expression = self._parse_expression()
+    def _parse_expression_statement(self) -> None:
+        self._parse_expression()
         self._expect_text(";", "after expression")
-        return syn.ExprStmt(expression)
 
-    def _parse_return(self) -> syn.ReturnStmt:
+    def _parse_return(self) -> None:
         self._advance()
-        value = None if self._check(";") else self._parse_expression()
+        if not self._check(";"):
+            self._parse_expression()
         self._expect_text(";", "after return value")
-        return syn.ReturnStmt(value)
 
-    def _parse_throw(self) -> syn.ThrowStmt:
+    def _parse_throw(self) -> None:
         self._advance()
-        value = self._parse_expression()
+        self._parse_expression()
         self._expect_text(";", "after thrown value")
-        return syn.ThrowStmt(value)
 
-    def _parse_if(self) -> syn.IfStmt:
-        """An ``if`` and its ``else if`` arms, read in a loop and nested from the last."""
-        arms: list[tuple[syn.Expr, syn.Stmt]] = []
-        statement = None
+    def _parse_if(self) -> None:
+        """An ``if`` and its ``else if`` arms, read in a loop."""
         while True:
             self._advance()
             self._expect_text("(", "after 'if'")
-            condition = self._parse_expression()
+            self._parse_expression()
             self._expect_text(")", "after if condition")
-            arms.append((condition, self._parse_statement()))
+            self._parse_statement()
             if not self._match("else"):
-                break
+                return
             if not self._check("if"):
-                statement = self._parse_statement()
-                break
-        while arms:
-            condition, then_branch = arms.pop()
-            statement = syn.IfStmt(condition, then_branch, statement)
-        return statement
+                self._parse_statement()
+                return
 
-    def _parse_while(self) -> syn.WhileStmt:
+    def _parse_while(self) -> None:
         self._advance()
         self._expect_text("(", "after 'while'")
-        condition = self._parse_expression()
+        self._parse_expression()
         self._expect_text(")", "after while condition")
-        return syn.WhileStmt(condition, self._parse_statement())
+        self._parse_statement()
 
-    def _parse_do_while(self) -> syn.DoWhileStmt:
+    def _parse_do_while(self) -> None:
         self._advance()
-        body = self._parse_statement()
+        self._parse_statement()
         self._expect_text("while", "after do body")
         self._expect_text("(", "after 'while'")
-        condition = self._parse_expression()
+        self._parse_expression()
         self._expect_text(")", "after do-while condition")
         self._expect_text(";", "after do-while")
-        return syn.DoWhileStmt(body, condition)
 
-    def _parse_for(self) -> syn.Stmt:
+    def _parse_for(self) -> None:
         self._advance()
         self._expect_text("(", "after 'for'")
 
-        init: syn.LocalDeclStmt | list[syn.Expr] | None = None
         if not self._match(";"):
             is_declaration = self._looks_like_local_declaration(self.pos)
             if self._check("final") and self._looks_like_local_declaration(self.pos + 1):
@@ -555,29 +604,30 @@ class _Parser:
                 type_text = self._parse_type("in for initializer")
                 name = self._expect_identifier("in for initializer")
                 if self._match(":"):
-                    iterable = self._parse_expression()
+                    self._parse_expression()
                     self._expect_text(")", "after for-each iterable")
-                    return syn.ForEachStmt(type_text, self.texts[name], name, iterable, self._parse_statement())
-                init = self._parse_declarator_list(type_text, name)
-                self._expect_text(";", "after for initializer")
+                    # The variable enters scope after the iterable.
+                    self.events.append(("local", self.texts[name], type_text))
+                    self._parse_statement()
+                    return
+                self._parse_declarators(type_text, name)
             else:
-                init = [self._parse_expression()]
-                while self._match(","):
-                    init.append(self._parse_expression())
-                self._expect_text(";", "after for initializer")
+                self._parse_expression_list()
+            self._expect_text(";", "after for initializer")
 
-        condition = None
         if not self._match(";"):
-            condition = self._parse_expression()
+            self._parse_expression()
             self._expect_text(";", "after for condition")
 
-        update: list[syn.Expr] = []
         if not self._check(")"):
-            update.append(self._parse_expression())
-            while self._match(","):
-                update.append(self._parse_expression())
+            self._parse_expression_list()
         self._expect_text(")", "after for clauses")
-        return syn.ForStmt(init, condition, update, self._parse_statement())
+        self._parse_statement()
+
+    def _parse_expression_list(self) -> None:
+        self._parse_expression()
+        while self._match(","):
+            self._parse_expression()
 
     def _scan_type(self, index: int, stops: frozenset[str]) -> tuple[int, bool] | None:
         """Look ahead for a type starting at ``index`` without consuming it.
@@ -614,114 +664,102 @@ class _Parser:
             return False
         return token_kind(self.texts[scanned[0]]) is _IDENTIFIER
 
-    def _parse_local_declaration(self) -> syn.LocalDeclStmt:
+    def _parse_local_declaration(self) -> None:
         type_text = self._parse_type("in declaration")
         name = self._expect_identifier("in declaration")
-        declaration = self._parse_declarator_list(type_text, name)
+        self._parse_declarators(type_text, name)
         self._expect_text(";", "after declaration")
-        return declaration
 
-    def _parse_declarator_list(
-        self, type_text: str, first_name: int, context: str = "declaration"
-    ) -> syn.LocalDeclStmt:
-        declaration = syn.LocalDeclStmt(type_text=type_text, declarators=[])
-        name = first_name
+    def _parse_declarators(self, type_text: str, name: int, context: str = "declaration") -> list[tuple[int, str]]:
+        """Each variable's name token and type; a ``[]`` suffix after a name
+        widens just that variable. Each enters scope after its initializer."""
+        declared = []
         while True:
-            dims = self._parse_dims()
-            initializer = None
+            declared_type = type_text + self._parse_dims()
             if self._match("="):
-                initializer = self._parse_variable_initializer()
-            declaration.declarators.append(syn.Declarator(self.texts[name], name, initializer, dims))
-            if self._match(","):
-                name = self._expect_identifier(f"after ',' in {context}")
-                continue
-            return declaration
+                self._parse_variable_initializer()
+            self.events.append(("local", self.texts[name], declared_type))
+            declared.append((name, declared_type))
+            if not self._match(","):
+                return declared
+            name = self._expect_identifier(f"after ',' in {context}")
 
-    def _parse_variable_initializer(self) -> syn.Expr:
+    def _parse_variable_initializer(self) -> None:
         if self._check("{"):
-            return self._parse_array_initializer()
-        return self._parse_expression()
+            self._parse_array_initializer()
+        else:
+            self._parse_expression()
 
-    def _parse_array_initializer(self) -> syn.ArrayInitExpr:
+    def _parse_array_initializer(self) -> None:
         self._expect_text("{", "to open array initializer")
         with self:
-            values: list[syn.Expr] = []
             while not self._check("}"):
                 if self._at_end():
                     raise self._fail("unexpected end of file in array initializer")
-                values.append(self._parse_variable_initializer())
+                self._parse_variable_initializer()
                 if not self._match(","):
                     break
             self._expect_text("}", "to close array initializer")
-            return syn.ArrayInitExpr(values)
 
     # ------------------------------------------------------------------
     # expressions
+    #
+    # Each returns the expression's receiver, as a call's event records it
+    # (module docstring): ``""`` unless the expression is a name, ``this``,
+    # ``super`` or ``new T(...)``, in any number of parentheses.
 
-    def _parse_expression(self) -> syn.Expr:
-        """Assignments (right-associative) to conditional expressions.
+    def _parse_expression(self) -> str:
+        """Assignments to conditional expressions, both read in one loop.
 
-        Both chains are read in loops and nested from the right afterwards.
         A false branch of ``?:`` takes no assignment, so ``a ? b : c = d``
         assigns to the whole conditional.
         """
         with self:
-            targets: list[tuple[syn.Expr, str]] = []
+            receiver = self._parse_binary(1)
             while True:
-                branches: list[tuple[syn.Expr, syn.Expr]] = []
-                expression = self._parse_binary(1)
                 while self._match("?"):
-                    branches.append((expression, self._parse_expression()))
+                    self._parse_expression()
                     self._expect_text(":", "in conditional expression")
-                    expression = self._parse_binary(1)
-                while branches:
-                    condition, if_true = branches.pop()
-                    expression = syn.ConditionalExpr(condition, if_true, expression)
-                operator = self.texts[self.pos]
-                if operator not in _ASSIGN_OPERATORS:
-                    break
+                    self._parse_binary(1)
+                    receiver = ""
+                if self.texts[self.pos] not in _ASSIGN_OPERATORS:
+                    return receiver
                 self.pos += 1
-                targets.append((expression, operator))
-            while targets:
-                target, operator = targets.pop()
-                expression = syn.AssignExpr(target, operator, expression)
-            return expression
+                self._parse_binary(1)
+                receiver = ""
 
-    def _parse_binary(self, min_precedence: int) -> syn.Expr:
+    def _parse_binary(self, min_precedence: int) -> str:
         """Precedence climbing over operators binding at least ``min_precedence``."""
-        left = self._parse_unary()
+        receiver = self._parse_unary()
         while True:
             operator = self.texts[self.pos]
             precedence = _BINARY_PRECEDENCE.get(operator, 0)
             if precedence < min_precedence:
-                return left
+                return receiver
             if precedence > _INSTANCEOF_PRECEDENCE and self.pos == self.type_operand_end:
-                return left
+                return receiver
             self.pos += 1
+            receiver = ""
             if operator == "instanceof":
-                left = syn.InstanceofExpr(left, self._parse_type("after 'instanceof'"))
+                self._parse_type("after 'instanceof'")
                 self.type_operand_end = self.pos
                 continue
             with self:
-                left = syn.BinaryExpr(operator, left, self._parse_binary(precedence + 1))
+                self._parse_binary(precedence + 1)
 
-    def _parse_unary(self) -> syn.Expr:
-        """Prefix operators and casts, read in a loop and applied from the innermost."""
-        prefixes: list[tuple[str, str | None]] = []
-        operator = self.texts[self.pos]
+    def _parse_unary(self) -> str:
+        """Prefix operators and casts, read in a loop, then their operand."""
+        start = self.pos
+        operator = self.texts[start]
         while operator in _PREFIX_OPERATORS or (operator == "(" and self._looks_like_cast()):
             self.pos += 1
-            cast_type = None
             if operator == "(":
-                cast_type = self._parse_type("in cast")
+                self._parse_type("in cast")
                 self._expect_text(")", "after cast type")
-            prefixes.append((operator, cast_type))
             operator = self.texts[self.pos]
-        operand = self._parse_postfix(self._parse_primary())
-        while prefixes:
-            operator, cast_type = prefixes.pop()
-            operand = syn.UnaryExpr(operator, operand) if cast_type is None else syn.CastExpr(cast_type, operand)
-        return operand
+        prefixed = self.pos != start
+        receiver = self._parse_operand()
+        return "" if prefixed else receiver
 
     def _looks_like_cast(self) -> bool:
         scanned = self._scan_type(self.pos + 1, _CAST_TYPE_STOPS)
@@ -736,97 +774,94 @@ class _Parser:
         kind = token_kind(operand)
         return kind is _IDENTIFIER or kind is TokenKind.LITERAL
 
-    def _parse_primary(self) -> syn.Expr:
-        text = self.texts[self.pos]
+    def _parse_operand(self) -> str:
+        """A primary and its postfix selections, calls, indexes and ``++``/``--``."""
+        texts = self.texts
+        start = self.pos
+        text = texts[start]
         kind = token_kind(text)
-        if kind is _IDENTIFIER:
-            return syn.NameExpr(text, self._advance())
-        if kind is TokenKind.LITERAL or text in _LITERAL_KEYWORDS:
-            return syn.LiteralExpr(self._advance())
-        if kind is TokenKind.KEYWORD:
-            if text == "this":
-                return syn.ThisExpr(self._advance())
-            if text == "super":
-                return syn.SuperExpr(self._advance())
-            if text == "new":
-                return self._parse_creator()
-            if text in PRIMITIVE_TYPES or text == "void":
-                keyword = self._advance()
-                self._expect_text(".", "after primitive type in expression")
-                self._expect_text("class", "after '.'")
-                return syn.ClassLiteralExpr(None, keyword)
-        if text == "(":
-            self._advance()
-            inner = self._parse_expression()
+        if kind is _IDENTIFIER or text == "this" or text == "super":
+            self.pos += 1
+            receiver = text
+        elif kind is TokenKind.LITERAL or text in _LITERAL_KEYWORDS:
+            self.pos += 1
+            receiver = ""
+        elif text == "new":
+            receiver = self._parse_creator()
+        elif text in PRIMITIVE_TYPES or text == "void":
+            self.pos += 1
+            self._expect_text(".", "after primitive type in expression")
+            self._expect_text("class", "after '.'")
+            receiver = ""
+        elif text == "(":
+            self.pos += 1
+            receiver = self._parse_expression()
             self._expect_text(")", "after parenthesized expression")
-            return syn.ParenExpr(inner)
-        raise self._fail("expected expression")
+        else:
+            raise self._fail("expected expression")
+        # Only the first postfix finds the operand still one token: a simple
+        # name, ``this`` or ``super`` that no parentheses enclose.
+        while True:
+            text = texts[self.pos]
+            if text == ".":
+                one_token = self.pos == start + 1
+                if one_token and kind is _IDENTIFIER:
+                    self.events.append(("name", start, receiver))
+                if texts[self.pos + 1] == "class":
+                    self.pos += 2
+                else:
+                    self.pos += 1
+                    name = self._expect_identifier("after '.'")
+                    if texts[self.pos] == "(":
+                        self.events.append(("call", name, texts[name], receiver))
+                        self._parse_arguments()
+                    else:
+                        self.events.append(("field", name, texts[name], one_token and receiver == "this"))
+            elif text == "(":
+                if self.pos != start + 1 or not receiver:
+                    raise self._fail("expression is not callable")
+                if kind is _IDENTIFIER:
+                    self.events.append(("call", start, receiver, None))
+                # Otherwise ``this(...)`` or ``super(...)``: a constructor
+                # delegation, which calls no method.
+                self._parse_arguments()
+            elif text == "[":
+                self.pos += 1
+                self._parse_expression()
+                self._expect_text("]", "after array index")
+            elif text in ("++", "--"):
+                self.pos += 1
+            else:
+                return receiver
+            receiver = ""
 
-    def _parse_creator(self) -> syn.Expr:
-        new_token = self._advance()
+    def _parse_creator(self) -> str:
+        """``new T(...)``, whose receiver is ``"new T"``, or an array creation."""
+        self.pos += 1
         type_text = self._parse_type("after 'new'")
         if self._check("("):
-            arguments = self._parse_arguments()
+            self._parse_arguments()
             if self._check("{"):
                 self._warn_at("unsupported construct: anonymous class body (skipped)", self.pos)
                 self._skip_balanced("{", "}")
-            return syn.NewExpr(type_text, arguments, new_token)
+            return "new " + type_text
         if self._check("[") or self._check("{"):
-            dimensions: list[syn.Expr] = []
             while self._match("["):
                 if not self._check("]"):
-                    dimensions.append(self._parse_expression())
+                    self._parse_expression()
                 self._expect_text("]", "in array creation")
-            initializer = None
             if self._check("{"):
-                initializer = self._parse_array_initializer()
-            return syn.ArrayCreationExpr(type_text, dimensions, initializer, new_token)
+                self._parse_array_initializer()
+            return ""
         raise self._fail("expected constructor arguments or array dimensions after 'new'")
 
-    def _parse_arguments(self) -> list[syn.Expr]:
+    def _parse_arguments(self) -> None:
         self._expect_text("(", "to open arguments")
-        arguments: list[syn.Expr] = []
         if not self._check(")"):
-            arguments.append(self._parse_expression())
+            self._parse_expression()
             while self._match(","):
-                arguments.append(self._parse_expression())
+                self._parse_expression()
         self._expect_text(")", "to close arguments")
-        return arguments
-
-    def _parse_postfix(self, expression: syn.Expr) -> syn.Expr:
-        while True:
-            text = self.texts[self.pos]
-            if text == ".":
-                if self.texts[self.pos + 1] == "class":
-                    expression = syn.ClassLiteralExpr(expression, self.pos + 1)
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                name = self._expect_identifier("after '.'")
-                if self._check("("):
-                    expression = syn.CallExpr(expression, self.texts[name], name, self._parse_arguments())
-                else:
-                    expression = syn.FieldSelectExpr(expression, self.texts[name], name)
-                continue
-            if text == "(":
-                if isinstance(expression, syn.NameExpr):
-                    expression = syn.CallExpr(None, expression.name, expression.token, self._parse_arguments())
-                    continue
-                if isinstance(expression, (syn.ThisExpr, syn.SuperExpr)):
-                    expression = syn.ConstructorDelegationExpr(expression.token, self._parse_arguments())
-                    continue
-                raise self._fail("expression is not callable")
-            if text == "[":
-                self.pos += 1
-                index = self._parse_expression()
-                self._expect_text("]", "after array index")
-                expression = syn.IndexExpr(expression, index)
-                continue
-            if text in ("++", "--"):
-                self.pos += 1
-                expression = syn.UnaryExpr(text, expression, prefix=False)
-                continue
-            return expression
 
 
 # Statements that open with one of these keywords, read by the handler.
@@ -842,7 +877,7 @@ _STATEMENT_HANDLERS = {
 
 def parse_compilation_unit(
     tokens: Tokens, file: str = "<source>", strict: bool = True
-) -> tuple[syn.CompilationUnit | None, list[Diagnostic]]:
+) -> tuple[CompilationUnit | None, list[Diagnostic]]:
     """Parse one file's tokens.
 
     Returns the unit plus diagnostics; in strict mode a syntax problem yields

@@ -1,17 +1,15 @@
-"""Parse-tree shape, recovery behavior, and subset boundaries."""
+"""Declarations, dependency events, recovery behavior, and subset boundaries."""
 
 import hashlib
 import random
-from dataclasses import fields, is_dataclass
 
 import pytest
 
-from codesum import syntax as syn
 from codesum.diagnostics import Severity, has_errors
 from codesum.extractor import build_model
 from codesum.lexer import Positions, Tokens, tokenize
 from codesum.model import AccessLevel
-from codesum.parser import _MAX_NESTING, parse_compilation_unit
+from codesum.parser import _MAX_NESTING, CompilationUnit, parse_compilation_unit
 from codesum.xml_io import export_xml
 
 from conftest import FIXTURES
@@ -27,16 +25,33 @@ def _parse(source: str, strict: bool = True):
     return parse_compilation_unit(_lexed(source, strict), "Test.java", strict)
 
 
-def _clean(source: str) -> syn.CompilationUnit:
+def _clean(source: str) -> CompilationUnit:
     return _clean_with_texts(source)[0]
 
 
-def _clean_with_texts(source: str) -> tuple[syn.CompilationUnit, list[str]]:
+def _clean_with_texts(source: str) -> tuple[CompilationUnit, list[str]]:
     tokens = _lexed(source)
     unit, diagnostics = parse_compilation_unit(tokens, "Test.java")
     assert unit is not None
     assert diagnostics == [], [str(d) for d in diagnostics]
     return unit, tokens.texts
+
+
+def _events(source: str) -> list[list]:
+    """Each method's events, in both modes, with every token index checked
+    against the name it carries and dropped."""
+    unit, texts = _clean_with_texts(source)
+    assert _parse(source, strict=False) == (unit, [])
+    methods = []
+    for method in unit.classes[0].methods:
+        events = []
+        for kind, *rest in method.events:
+            if kind != "local":
+                token, *rest = rest
+                assert texts[token] == rest[0]
+            events.append((kind, *rest))
+        methods.append(events)
+    return methods
 
 
 def test_package_and_imports():
@@ -62,10 +77,8 @@ def test_class_header_with_extends_and_implements():
 def test_constructor_is_detected_by_name_and_call_shape():
     unit = _clean("class A { public A(int x) {} A A() { return null; } }")
     constructor, plain = unit.classes[0].methods
-    assert constructor.is_constructor
     assert constructor.return_type == "A"
     assert [p.name for p in constructor.parameters] == ["x"]
-    assert not plain.is_constructor
     assert plain.name == "A"
     assert plain.return_type == "A"
 
@@ -75,7 +88,10 @@ def test_field_declarations_with_multiple_declarators_and_dims():
     fields = unit.classes[0].fields
     assert [(f.name, f.type_text) for f in fields] == [("x", "int"), ("y", "int"), ("z", "int[]")]
     assert all(f.access_level is AccessLevel.PRIVATE for f in fields)
-    assert fields[1].initializer is not None
+    # An initializer is still parsed and checked, though nothing reads it.
+    unit, diagnostics = _parse("class A { int y = 2 +; }")
+    assert unit is None
+    assert [str(d) for d in diagnostics] == ["Test.java:1:22: error: expected expression, found ';'"]
 
 
 def test_parameter_dims_before_and_after_name():
@@ -94,11 +110,11 @@ def test_generic_type_text_is_canonicalized():
 def test_throws_clause_and_bodiless_method():
     unit = _clean("abstract class A { abstract void m() throws java.io.IOException, Error; }")
     method = unit.classes[0].methods[0]
-    assert method.body is None
+    assert (method.name, method.return_type, method.events) == ("m", "void", [])
 
 
 def test_statement_shapes():
-    unit = _clean(
+    (events,) = _events(
         """
         class A {
             void m(int n) {
@@ -109,29 +125,27 @@ def test_statement_shapes():
                 do { i -= 1; } while (i > 0);
                 for (int k = 0; k < n; k++) { j = null; }
                 for (String s : parts()) { use(s); }
+                return;
+                throw failure(i);
                 break;
+                continue;
             }
         }
         """
     )
-    body = unit.classes[0].methods[0].body
-    kinds = [type(stmt).__name__ for stmt in body.statements]
-    assert kinds == [
-        "EmptyStmt",
-        "LocalDeclStmt",
-        "IfStmt",
-        "WhileStmt",
-        "DoWhileStmt",
-        "ForStmt",
-        "ForEachStmt",
-        "BreakStmt",
+    assert events == [
+        ("local", "i", "int"),
+        ("local", "j", "int[]"),
+        ("local", "k", "int"),
+        ("call", "parts", None),
+        ("local", "s", "String"),
+        ("call", "use", None),
+        ("call", "failure", None),
     ]
-    declaration = body.statements[1]
-    assert [(d.name, d.extra_dims) for d in declaration.declarators] == [("i", ""), ("j", "[]")]
 
 
 def test_expression_shapes():
-    unit = _clean(
+    (events,) = _events(
         """
         class A {
             void m(Object o) {
@@ -145,36 +159,37 @@ def test_expression_shapes():
         }
         """
     )
-    statements = unit.classes[0].methods[0].body.statements
-    first = statements[0].declarators[0].initializer
-    assert isinstance(first, syn.ConditionalExpr)
-    assert isinstance(first.if_false, syn.CastExpr)
-    assert isinstance(statements[1].declarators[0].initializer, syn.InstanceofExpr)
-    assert isinstance(statements[2].declarators[0].initializer, syn.ArrayCreationExpr)
-    assert isinstance(statements[3].declarators[0].initializer, syn.ArrayInitExpr)
-    assert isinstance(statements[4].declarators[0].initializer, syn.ClassLiteralExpr)
-    assert isinstance(statements[5].expression, syn.AssignExpr)
+    assert events == [
+        ("local", "x", "int"),
+        ("local", "t", "boolean"),
+        ("local", "arr", "int[]"),
+        ("local", "lit", "int[]"),
+        ("name", "String"),
+        ("local", "k", "Object"),
+    ]
 
 
 def test_call_shapes():
-    unit = _clean(
+    constructor, method = _events(
         """
         class A extends B {
             A() { super(1); }
-            void m() { run(); this.run(); helper.run(); new A().run(); super.run(); }
+            void m() { run(); this.run(); helper.run(); new A().run(); super.run(); (x).run(); f().run(); }
         }
         """
     )
-    constructor, method = unit.classes[0].methods
-    delegation = constructor.body.statements[0].expression
-    assert isinstance(delegation, syn.ConstructorDelegationExpr)
-    calls = [stmt.expression for stmt in method.body.statements]
-    assert all(isinstance(call, syn.CallExpr) for call in calls)
-    assert calls[0].receiver is None
-    assert isinstance(calls[1].receiver, syn.ThisExpr)
-    assert isinstance(calls[2].receiver, syn.NameExpr)
-    assert isinstance(calls[3].receiver, syn.NewExpr)
-    assert isinstance(calls[4].receiver, syn.SuperExpr)
+    assert constructor == []
+    assert method == [
+        ("call", "run", None),
+        ("call", "run", "this"),
+        ("name", "helper"),
+        ("call", "run", "helper"),
+        ("call", "run", "new A"),
+        ("call", "run", "super"),
+        ("call", "run", "x"),
+        ("call", "f", None),
+        ("call", "run", ""),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -233,37 +248,48 @@ def test_parsing_is_deterministic():
     assert first_diagnostics == second_diagnostics
 
 
-def _shape(node, texts: list[str]) -> str:
-    """An expression tree as an S-expression, so exact shapes can be compared.
-    A leaf or member name is the text of the node's token index in ``texts``."""
+def _shape_events(shape: str) -> list[tuple]:
+    """The events an expression tree implies, read from its S-expression:
+    every call and field selection with its receiver, and every simple name
+    that receives one, in source order."""
+    items = shape.replace("(", " ( ").replace(")", " ) ").split()
 
-    def shape(node) -> str:
-        if isinstance(node, (syn.NameExpr, syn.LiteralExpr)):
-            return texts[node.token]
-        if isinstance(node, syn.BinaryExpr):
-            return f"({node.operator} {shape(node.left)} {shape(node.right)})"
-        if isinstance(node, syn.InstanceofExpr):
-            return f"(instanceof {shape(node.operand)} {node.type_text})"
-        if isinstance(node, syn.AssignExpr):
-            return f"({node.operator} {shape(node.target)} {shape(node.value)})"
-        if isinstance(node, syn.ConditionalExpr):
-            return f"(? {shape(node.condition)} {shape(node.if_true)} {shape(node.if_false)})"
-        if isinstance(node, syn.CastExpr):
-            return f"(cast {node.type_text} {shape(node.operand)})"
-        if isinstance(node, syn.ParenExpr):
-            return f"(paren {shape(node.inner)})"
-        if isinstance(node, syn.UnaryExpr):
-            return f"({node.operator} {shape(node.operand)})" if node.prefix else f"(post{node.operator} {shape(node.operand)})"
-        if isinstance(node, syn.IndexExpr):
-            return f"(index {shape(node.array)} {shape(node.index)})"
-        if isinstance(node, syn.FieldSelectExpr):
-            return f"(. {shape(node.receiver)} {texts[node.token]})"
-        if isinstance(node, syn.CallExpr):
-            parts = [shape(node.receiver) if node.receiver is not None else "-", texts[node.token]]
-            return f"(call {' '.join(parts + [shape(argument) for argument in node.arguments])})"
-        raise AssertionError(f"unexpected node {node!r}")
+    def read():
+        item = items.pop(0)
+        if item != "(":
+            return item
+        node = []
+        while items[0] != ")":
+            node.append(read())
+        items.pop(0)
+        return node
 
-    return shape(node)
+    def receiver_of(node):
+        while isinstance(node, list) and node[0] == "paren":
+            node = node[1]
+        return node if isinstance(node, str) else ""
+
+    events = []
+
+    def walk(node):
+        if isinstance(node, str):
+            return
+        head, *operands = node
+        if head in ("call", "."):
+            receiver, name, *arguments = operands
+            walk(receiver)
+            if isinstance(receiver, str) and receiver not in ("-", "this"):
+                events.append(("name", receiver))
+            if head == "call":
+                events.append(("call", name, None if receiver == "-" else receiver_of(receiver)))
+            else:
+                events.append(("field", name, receiver == "this"))
+            operands = arguments
+        for operand in operands:
+            walk(operand)
+
+    walk(read())
+    return events
 
 
 @pytest.mark.parametrize(
@@ -289,23 +315,27 @@ def _shape(node, texts: list[str]) -> str:
         ("(int) (long) !x", "(cast int (cast long (! x)))"),
         ("a < b instanceof T", "(instanceof (< a b) T)"),
         ("x instanceof T instanceof U == z", "(== (instanceof (instanceof x T) U) z)"),
+        # Shapes that decide a call's receiver.
+        ("(T) y.f()", "(cast T (call y f))"),
+        ("((T) y).f()", "(call (paren (cast T y)) f)"),
+        ("(a).f(b.c)", "(call (paren a) f (. b c))"),
+        ("a.b.c()", "(call (. a b) c)"),
+        ("this.a = -b.c()", "(= (. this a) (- (call b c)))"),
+        ("f(x).g()[0]++", "(post++ (index (call (call - f x) g) 0))"),
     ],
 )
 def test_exact_expression_trees(expression, shape):
-    unit, texts = _clean_with_texts(f"class A {{ void m() {{ {expression}; }} }}")
-    assert _shape(unit.classes[0].methods[0].body.statements[0].expression, texts) == shape
+    """The parser builds no tree: each expression parses cleanly in both
+    modes, into the events its tree implies."""
+    assert _events(f"class A {{ void m() {{ {expression}; }} }}") == [_shape_events(shape)]
 
 
 def test_else_if_arms_nest_from_the_last():
-    unit, texts = _clean_with_texts("class A { void m() { if (a) x(); else if (b) y(); else z(); } }")
-    outer = unit.classes[0].methods[0].body.statements[0]
-    assert _shape(outer.condition, texts) == "a"
-    assert _shape(outer.then_branch.expression, texts) == "(call - x)"
-    inner = outer.else_branch
-    assert isinstance(inner, syn.IfStmt)
-    assert _shape(inner.condition, texts) == "b"
-    assert _shape(inner.then_branch.expression, texts) == "(call - y)"
-    assert _shape(inner.else_branch.expression, texts) == "(call - z)"
+    """The arms, once nested from the last, are read in a loop: their
+    events come in source order."""
+    assert _events("class A { void m() { if (a.p()) x(); else if (b) y(); else z(); } }") == [
+        [("name", "a"), ("call", "p", "a"), ("call", "x", None), ("call", "y", None), ("call", "z", None)]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -366,32 +396,13 @@ def test_lookahead_past_the_end_of_file(source, message):
 def test_empty_token_list_gives_an_empty_unit(strict):
     tokens = _lexed("")
     unit, diagnostics = parse_compilation_unit(tokens, "Test.java", strict)
-    assert unit == syn.CompilationUnit("Test.java", tokens.positions)
+    assert unit == CompilationUnit("Test.java", tokens.positions)
     assert diagnostics == []
 
 
-def _dump(node, tokens: Tokens) -> str:
-    """A parse tree with each kept token as ``text@line:col``, read through the
-    accessors; a node's name text is its token's text and is not repeated."""
-    if is_dataclass(node):
-        parts = []
-        for item in fields(node):
-            if item.name == "token":
-                line, column = tokens.position(node.token)
-                parts.append(f"{tokens.texts[node.token]}@{line}:{column}")
-            elif item.name != "name" and item.repr:
-                parts.append(_dump(getattr(node, item.name), tokens))
-        return f"{type(node).__name__}({', '.join(parts)})"
-    if isinstance(node, list):
-        return f"[{', '.join(_dump(item, tokens) for item in node)}]"
-    return repr(node)
-
-
-# sha256 over every parse below, recorded with the same dump of Token-based
-# trees before positions became token indexes.
-_TRUNCATION_DIGEST = "66d193a33c2f9b109f710aeab04e8f15042519a76c6dacc12b880b86188a020d"
-# sha256 of ``_model_digest`` over the same parses, recorded before method
-# bodies were parsed straight into dependency events.
+# sha256 of ``_model_digest`` over ``_truncation_corpus()``, recorded before
+# method bodies were parsed straight into dependency events. It replaces a
+# digest of the parse trees, which are gone.
 _TRUNCATION_MODEL_DIGEST = "43f7c76b88732f42976a17a929e85f256875bea284a0222ecb5899b95973d0b5"
 
 
@@ -468,18 +479,6 @@ def _model_digest(corpus) -> str:
 
 
 def test_truncated_fixture_input_parses_as_recorded():
-    """Every prefix and single-token deletion of every fixture file, in both
-    modes: the trees and diagnostics hash to one recorded digest, and the
-    models and diagnostics to another."""
-    digest = hashlib.sha256()
-    for name, variant in _truncation_corpus():
-        for strict in (True, False):
-            unit, diagnostics = parse_compilation_unit(variant, name, strict)
-            digest.update(_dump(unit, variant).encode())
-            for diagnostic in diagnostics:
-                digest.update(f"\n{diagnostic}".encode())
-            digest.update(b"\0")
-    assert digest.hexdigest() == _TRUNCATION_DIGEST
     assert _model_digest(_truncation_corpus()) == _TRUNCATION_MODEL_DIGEST
 
 
