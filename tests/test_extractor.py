@@ -224,7 +224,7 @@ def test_parenthesized_receiver_types_the_call_but_is_no_access():
     method = _single_class_method("package p; class C { void m(P x) { (x).f(); ((x)).g(); (this).h(); } }")
     assert _invocations(method) == [("f", "P"), ("g", "P"), ("h", "C")]
     assert _accesses(method) == []
-    selected = _single_class_method("package p; class C { int y; void m(P x) { int a = (x).y + (this).y; } }")
+    selected = _single_class_method("package p; class C { int y; void m() { int a = (this).y; } }")
     assert _accesses(selected) == [("y", "unknown")]
 
 
@@ -235,11 +235,14 @@ def test_cast_receiver_is_external():
 
 
 def test_field_initializer_calls_appear_in_no_method():
-    source = "package p; class C { int x = compute(), y = other.make(); C() { } void m() { run(); } }"
+    source = "package p; class C { int x = compute(); C() { } void m() { run(); } int y = other.make(), z; }"
     model, diagnostics = build_model([_unit(source)], "test")
     assert not has_errors(diagnostics)
     cls = lookup_class(model, "p", "C")
-    assert [(m.name, _invocations(m), _accesses(m)) for m in cls.methods] == [("C", [], []), ("m", [("run", "C")], [])]
+    assert [(m.name, _invocations(m), _accesses(m), m.local_variables) for m in cls.methods] == [
+        ("C", [], [], ()),
+        ("m", [("run", "C")], [], ()),
+    ]
 
 
 @pytest.mark.parametrize("delegation", ["this", "super"])
