@@ -1,5 +1,8 @@
 """Byte-stable export, tolerant import, and round-trip identity."""
 
+import copy
+import hashlib
+import xml.etree.ElementTree as ElementTree
 from random import Random
 
 import pytest
@@ -240,3 +243,108 @@ def test_unknown_access_level_degrades_to_package_private():
     model, diagnostics = import_xml(text)
     assert any("unknown access level 'cosmic'" in d.message for d in diagnostics)
     assert model.packages[0].classes[0].access_level is AccessLevel.PACKAGE_PRIVATE
+
+
+# Tags the import reads children from; a mutation never adds a child to any
+# other element, because elements under leaves are checked separately.
+_PARENT_TAGS = [
+    "Project", "Packages", "Package", "Classes", "Class", "Attributes", "Methods", "Method",
+    "Parameters", "LocalVariables", "AttributeAccesses", "MethodInvocations",
+]
+_CONTAINER_TAGS = [tag for tag in _PARENT_TAGS if tag.endswith("s")]
+# Known attribute and element names mixed with unknown ones, so a mutation
+# can misplace a known name as well as invent one.
+_MUTANT_ATTRIBUTES = ["Extra", "Name", "Type", "AccessLevel", "NumberOfParameters", "Superclass", "ParameterName"]
+_MUTANT_TAGS = ["Oddity", "Package", "Class", "Method", "Attribute", "Parameter", "Methods", "Parameters"]
+_MUTANT_VALUES = ["", "0", "1", "7", "x", "public", "cosmic", "C", "int"]
+
+
+def _mutate(root, rng: Random) -> None:
+    """Apply one seeded edit to a parsed model document."""
+    elements = list(root.iter())
+    parents = [element for element in elements if element.tag in _PARENT_TAGS]
+    with_attributes = [element for element in elements if element.attrib]
+    edit = rng.choice((
+        "delete attribute", "rename attribute", "insert attribute", "insert element", "graft element",
+        "delete container", "duplicate container", "access level", "parameter count", "second parameters",
+        "superclass",
+    ))
+    if edit in ("delete attribute", "rename attribute") and with_attributes:
+        element = rng.choice(with_attributes)
+        name = rng.choice(sorted(element.attrib))
+        value = element.attrib.pop(name)
+        if edit == "rename attribute":
+            element.set(rng.choice(_MUTANT_ATTRIBUTES), value)
+    elif edit == "insert attribute":
+        rng.choice(elements).set(rng.choice(_MUTANT_ATTRIBUTES), rng.choice(_MUTANT_VALUES))
+    elif edit == "insert element":
+        parent = rng.choice(parents)
+        element = ElementTree.Element(rng.choice(_MUTANT_TAGS))
+        if rng.random() < 0.5:
+            element.set(rng.choice(_MUTANT_ATTRIBUTES), rng.choice(_MUTANT_VALUES))
+        parent.insert(rng.randrange(len(parent) + 1), element)
+    elif edit == "graft element":
+        parent = rng.choice(parents)
+        parent.insert(rng.randrange(len(parent) + 1), copy.deepcopy(rng.choice(elements[1:] or elements)))
+    elif edit in ("delete container", "duplicate container"):
+        pairs = [(parent, child) for parent in parents for child in parent if child.tag in _CONTAINER_TAGS]
+        if pairs:
+            parent, child = rng.choice(pairs)
+            if edit == "delete container":
+                parent.remove(child)
+            else:
+                parent.insert(rng.randrange(len(parent) + 1), copy.deepcopy(child))
+    elif edit == "access level":
+        targets = [element for element in elements if element.tag in ("Class", "Attribute", "Method")] or elements
+        rng.choice(targets).set("AccessLevel", rng.choice(["cosmic", "", "PUBLIC", "public", "protected"]))
+    elif edit in ("parameter count", "second parameters"):
+        methods = [element for element in elements if element.tag == "Method"]
+        if methods:
+            method = rng.choice(methods)
+            if edit == "parameter count":
+                for parameters in method.iter("Parameters"):
+                    parameters.set("NumberOfParameters", rng.choice(["0", "1", "2", "7", "-1", "x", ""]))
+            else:
+                second = ElementTree.Element("Parameters", {"NumberOfParameters": rng.choice(["0", "1", "2"])})
+                if rng.random() < 0.5:
+                    second.append(ElementTree.Element("Parameter", {"ParameterName": "b", "ParameterType": "int"}))
+                method.insert(rng.randrange(len(method) + 1), second)
+    elif edit == "superclass":
+        classes = [element for element in elements if element.tag == "Class"]
+        if classes:
+            cls = rng.choice(classes)
+            cls.set("Superclass", "" if cls.get("Superclass") else rng.choice(["B", cls.get("Name", "")]))
+
+
+def _import_corpus(seed: int = 9, documents: int = 40, per_document: int = 10):
+    """Seeded mutants of FULL_DOC and of random models' exports, each made by
+    one to three edits."""
+    rng = Random(seed)
+    texts = [FULL_DOC] + [export_xml(random_model(rng)) for _ in range(documents - 1)]
+    for text in texts:
+        for _ in range(per_document):
+            root = ElementTree.fromstring(text)
+            for _ in range(rng.randint(1, 3)):
+                _mutate(root, rng)
+            yield ElementTree.tostring(root, encoding="unicode")
+
+
+def _import_digest(corpus) -> str:
+    """sha256 over each document's imported model and every diagnostic, in order."""
+    digest = hashlib.sha256()
+    for text in corpus:
+        model, diagnostics = import_xml(text)
+        digest.update(repr(model).encode())
+        for diagnostic in diagnostics:
+            digest.update(f"\n{diagnostic}".encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+# sha256 of ``_import_digest`` over ``_import_corpus()``, recorded before the
+# model document's shape was stated in one table.
+_IMPORT_DIGEST = "ca23049d3012c673a5dce65880cf12764dfba5ed3466c0d164e4828e9d283447"
+
+
+def test_mutated_documents_import_as_recorded():
+    assert _import_digest(_import_corpus()) == _IMPORT_DIGEST
