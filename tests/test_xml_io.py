@@ -227,6 +227,16 @@ def test_unknown_element_is_ignored_with_a_warning():
     assert model == _full_model()
 
 
+@pytest.mark.parametrize("tag", ["Attribute", "Parameter", "LocalVariable", "AttributeAccess", "MethodInvocation"])
+def test_element_under_a_leaf_is_ignored_with_a_warning(tag):
+    start = FULL_DOC.index(f"<{tag} ")
+    end = FULL_DOC.index("/>", start)
+    text = f"{FULL_DOC[:end]}><Kid/></{tag}>{FULL_DOC[end + 2:]}"
+    model, diagnostics = import_xml(text)
+    assert [str(d) for d in diagnostics] == [f"<model>: warning: unknown element <Kid> under <{tag}> (ignored)"]
+    assert model == _full_model()
+
+
 def test_parameter_count_mismatch_prefers_the_elements():
     text = FULL_DOC.replace('NumberOfParameters="1"', 'NumberOfParameters="7"')
     model, diagnostics = import_xml(text)
