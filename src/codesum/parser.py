@@ -603,13 +603,16 @@ class _Parser:
             if is_declaration:
                 type_text = self._parse_type("in for initializer")
                 name = self._expect_identifier("in for initializer")
+                after_name = self.pos
+                dims = self._parse_dims()
                 if self._match(":"):
                     self._parse_expression()
                     self._expect_text(")", "after for-each iterable")
                     # The variable enters scope after the iterable.
-                    self.events.append(("local", self.texts[name], type_text))
+                    self.events.append(("local", self.texts[name], type_text + dims))
                     self._parse_statement()
                     return
+                self.pos = after_name  # the declarators read each name's dims
                 self._parse_declarators(type_text, name)
             else:
                 self._parse_expression_list()

@@ -7,7 +7,7 @@ import pytest
 from codesum import lexer
 from codesum.diagnostics import has_errors
 from codesum.extractor import DEFAULT_PACKAGE, build_model, discover_source_files, parse_project
-from codesum.lexer import TokenKind, tokenize
+from codesum.lexer import TokenKind, token_kind, tokenize
 from codesum.parser import parse_compilation_unit
 
 from conftest import FIXTURES, lookup_class
@@ -155,6 +155,8 @@ def test_locals_accumulate_in_declaration_order():
             int a = 1, b = a;
             for (int i = 0; i < n; i++) { }
             for (String s : names()) { }
+            for (int row[] : grid()) { }
+            for (int c[] = null, d = 0; ; ) { }
         }
     }
     """
@@ -164,6 +166,9 @@ def test_locals_accumulate_in_declaration_order():
         ("b", "int"),
         ("i", "int"),
         ("s", "String"),
+        ("row", "int[]"),
+        ("c", "int[]"),
+        ("d", "int"),
     ]
 
 
@@ -208,10 +213,11 @@ def test_local_initializer_resolves_before_the_local_is_in_scope():
 
 
 def test_for_each_iterable_resolves_before_the_variable_is_in_scope():
-    source = "package p; class C { F x; void m() { for (T x : x.all()) { x.use(); } } }"
-    method = _single_class_method(source)
-    assert _accesses(method) == [("x", "F")]
-    assert _invocations(method) == [("all", "F"), ("use", "T")]
+    for variable, declared_type in [("T x", "T"), ("T x[]", "T[]")]:
+        source = f"package p; class C {{ F x; void m() {{ for ({variable} : x.all()) {{ x.use(); }} }} }}"
+        method = _single_class_method(source)
+        assert _accesses(method) == [("x", "F")]
+        assert _invocations(method) == [("all", "F"), ("use", declared_type)]
 
 
 def test_locals_stay_in_scope_after_their_block():
@@ -305,7 +311,7 @@ def test_extraction_never_invents_names(project):
     identifiers = set()
     for path in discover_source_files(FIXTURES / project):
         tokens, _ = tokenize(path.read_text(encoding="utf-8"), path.as_posix())
-        identifiers.update(text for index, text in enumerate(tokens.texts) if tokens.kind(index) is TokenKind.IDENTIFIER)
+        identifiers.update(text for text in tokens.texts if token_kind(text) is TokenKind.IDENTIFIER)
     model, diagnostics, _ = parse_project(FIXTURES / project)
     assert not has_errors(diagnostics)
     for pkg in model.packages:
@@ -338,7 +344,7 @@ def _body_tokens(tokens, index):
     # of its name token: the first "{" after the name opens the body unless a
     # ";" ends the declaration first; the body ends at the matching "}".
     name = tokens.texts[index]
-    pairs = [(tokens.kind(i), text) for i, text in enumerate(tokens.texts)]
+    pairs = [(token_kind(text), text) for text in tokens.texts]
     while pairs[index][1] not in ("{", ";"):
         index += 1
     if pairs[index][1] == ";":

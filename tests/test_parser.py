@@ -125,6 +125,8 @@ def test_statement_shapes():
                 do { i -= 1; } while (i > 0);
                 for (int k = 0; k < n; k++) { j = null; }
                 for (String s : parts()) { use(s); }
+                for (int row[] : rows()) { use(row); }
+                for (int a[] = null, b = 0; ; ) { }
                 return;
                 throw failure(i);
                 break;
@@ -140,6 +142,11 @@ def test_statement_shapes():
         ("call", "parts", None),
         ("local", "s", "String"),
         ("call", "use", None),
+        ("call", "rows", None),
+        ("local", "row", "int[]"),
+        ("call", "use", None),
+        ("local", "a", "int[]"),
+        ("local", "b", "int"),
         ("call", "failure", None),
     ]
 
