@@ -159,7 +159,8 @@ def _line_starts(source: str) -> list[int]:
 
 
 class Tokens:
-    """One file's token ``texts``, and each token's kind and position by index."""
+    """One file's token ``texts`` and their ``positions``; a token's kind is
+    ``token_kind`` of its text."""
 
     __slots__ = ("texts", "positions")
 
@@ -168,12 +169,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def kind(self, index: int) -> TokenKind | None:
-        return token_kind(self.texts[index])
-
-    def position(self, index: int) -> tuple[int, int]:
-        return self.positions.position(index)
 
 
 def _number_end(source: str, pos: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from codesum import lexer
 from codesum.diagnostics import Severity
-from codesum.lexer import TokenKind, tokenize
+from codesum.lexer import TokenKind, token_kind, tokenize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,8 +21,10 @@ class _Token(NamedTuple):
 
 
 def _view(tokens) -> list[_Token]:
-    """Every token with its kind and position, read through the accessors."""
-    return [_Token(tokens.kind(index), text, *tokens.position(index)) for index, text in enumerate(tokens.texts)]
+    """Every token with its kind and position."""
+    return [
+        _Token(token_kind(text), text, *tokens.positions.position(index)) for index, text in enumerate(tokens.texts)
+    ]
 
 
 def _tokenize(source: str, file: str = "<source>", strict: bool = True):
