@@ -183,8 +183,6 @@ class _Reader:
         self.diagnostics.append(warning(message))
 
     def check_attributes(self, element: ElementTree.Element, known: frozenset[str]) -> None:
-        if known.issuperset(element.attrib):
-            return
         for name in element.attrib:
             if name not in known:
                 self.warn(f"unknown attribute {name!r} on <{element.tag}> (ignored)")
