@@ -6,12 +6,6 @@ kind is derived from its text, and its position is a token index that
 token offsets and line starts built on first use (as ``File.Position`` does
 in Go's ``go/token``). A line ends at ``\\n``; a column counts characters.
 
-Fast path: an ASCII source is split by one ``findall`` over ``_TEXTS``. On a
-clean file its texts are exactly the exact path's; a lexical problem leaves a
-text of ``_PROBLEMS`` (``/*`` of an unclosed comment, or a lone illegal
-character or quote), and the file is scanned again on the exact path. The
-token offsets of a clean file come from one rescan with ``_SPANS``, if ever.
-
 Exact path: ``_MASTER`` is matched at the current position. Each match
 consumes whitespace and comments, then one token, unterminated construct or
 illegal character; the group that matched names what was found. Names and
@@ -20,6 +14,24 @@ numbers keep the ``str`` predicates' Unicode semantics: ``str.isalpha`` or
 ``[\\w$]``), and ``str.isdigit`` drives numbers. No regex class equals
 ``isalpha`` or ``isdigit``, so tokens starting with a non-ASCII character,
 and numbers followed closely by one, take a per-character path.
+
+Fast path: the whole source is split by one ``findall`` over ``_TEXTS``,
+whose name starts with ``[A-Za-z_$]`` or a non-ASCII ``[^\\W\\d]``. Its texts
+are exactly the exact path's unless one of these holds, and then the file is
+scanned again on the exact path:
+
+* a text is in ``_PROBLEMS``: ``/*`` of an unclosed comment, or a lone
+  quote or illegal ASCII character. In lenient mode a lone illegal
+  character other than a quote is no reason: it is reported where it
+  stands and dropped, as the exact path does;
+* a text starts with a non-ASCII character that ``str.isalpha`` rejects,
+  such as ``²`` (a digit to ``_number_end``) or ``→``;
+* a text holding a non-ASCII character follows a number, which
+  ``_number_end`` may extend (``1e٣``).
+
+The token offsets of a file come from one ``finditer`` over ``_TEXTS``, and
+only when a position is asked for: by a lone character's warning, or later
+by the parser's or the model builder's.
 """
 
 from __future__ import annotations
@@ -29,7 +41,8 @@ from array import array
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, compress, repeat
+from operator import not_
 from typing import Sequence
 
 from .diagnostics import Diagnostic, error, warning
@@ -83,9 +96,20 @@ def _literal(quote: str) -> str:
     return rf"{quote}[^{quote}\\\n]*(?:\\[\s\S][^{quote}\\\n]*)*"
 
 
+def _longest(operators: Sequence[str]) -> str:
+    """A pattern for the longest of ``operators`` at a position, branching on
+    one character at a time. Every prefix of an operator is itself one, so
+    greedy branches find the longest match."""
+    branches = []
+    for head in dict.fromkeys(operator[0] for operator in operators):
+        tails = _longest([operator[1:] for operator in operators if operator[0] == head and len(operator) > 1])
+        branches.append(re.escape(head) + (f"(?:{tails})?" if tails else ""))
+    return "|".join(branches)
+
+
 _SKIP = r"(?:[ \t\r\n\f]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
 _WORD = r"[A-Za-z_$][\w$]*"
-_OPERATOR = "|".join(re.escape(op) for op in _OPERATORS)
+_OPERATOR = _longest(_OPERATORS)
 _NUMBER = r"0[xX][0-9a-fA-F]*[lLfFdD]?|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[lLfFdD]?"
 _LITERAL = rf"""{_literal('"')}"|{_literal("'")}'"""
 
@@ -107,13 +131,16 @@ _MASTER = rf"""(?x)({_SKIP})
     |(?P<other>[\s\S])
     |(?P<end>\Z))"""
 
-# The fast path's token: the clean tokens in ``_MASTER``'s order, then any
-# other non-blank character, then the end (which keeps a match from
-# backtracking into the skipped text, as ``end`` does above).
-_TOKEN = rf"{_WORD}|/\*|{_OPERATOR}|{_NUMBER}|{_LITERAL}|[^ \t\r\n\f]|\Z"
+# The fast path's token: the clean tokens (operators first, which is the
+# fastest order, and ``/*`` before ``/``), then any other non-blank
+# character, then the end (which keeps a match from backtracking into the
+# skipped text, as ``end`` does above). Its name may start with a non-ASCII
+# character, which ``_MASTER``'s may not.
+_TOKEN = rf"/\*|{_OPERATOR}|(?:[A-Za-z_$]|[^\W\d\x00-\x7f])[\w$]*|{_NUMBER}|{_LITERAL}|[^ \t\r\n\f]|\Z"
 _TEXTS = rf"{_SKIP}({_TOKEN})"
-_SPANS = rf"({_SKIP})({_TOKEN})"
 _PROBLEMS = frozenset(["/*", *(c for c in map(chr, range(128)) if not (c.isalnum() or c in "_$" or c in _OPERATORS))])
+# The problems lenient mode reports and drops on the fast path.
+_LONE = _PROBLEMS.difference(["/*", '"', "'"])
 
 _NAME_PART = re.compile(r"[\w$]*")
 
@@ -148,9 +175,9 @@ class Positions:
 
 
 def _token_starts(source: str) -> array:
-    """A clean ASCII source's token offsets: running sums of the lengths of
-    the skipped text and the token of each ``_SPANS`` match."""
-    return array("q", accumulate(map(len, chain.from_iterable(re.findall(_SPANS, source)))))[::2]
+    """The offset of each ``_TEXTS`` match's token, lone illegal characters
+    and the end included: the fast path's token offsets."""
+    return array("q", map(re.Match.start, re.finditer(_TEXTS, source), repeat(1)))
 
 
 def _line_starts(source: str) -> list[int]:
@@ -207,14 +234,41 @@ def tokenize(
     scanning stops; in lenient mode it is reported as a warning and scanning
     resumes past the offending text.
     """
-    if source.isascii():
-        texts = re.findall(_TEXTS, source)
-        if _PROBLEMS.isdisjoint(texts):
-            texts.pop()  # the end of the input
-            if texts and not texts[-1]:
-                texts.pop()  # matched once more after trailing whitespace
-            return Tokens(texts, Positions(source)), []
-    return _scan(source, file, strict)
+    texts = re.findall(_TEXTS, source)
+    lone = _PROBLEMS.intersection(texts)
+    if lone and (strict or not lone <= _LONE):
+        return _scan(source, file, strict)
+    if not (source.isascii() or _exact_as_fast(texts)):
+        return _scan(source, file, strict)
+    texts.pop()  # the end of the input
+    if texts and not texts[-1]:
+        texts.pop()  # matched once more after trailing whitespace
+    if not lone:
+        return Tokens(texts, Positions(source)), []
+    # Lenient lone characters: each is a warning, and neither a token nor an offset.
+    starts = _token_starts(source)
+    dropped = list(map(lone.__contains__, texts))
+    kept = list(map(not_, dropped))
+    positions = Positions(source, array("q", compress(starts, kept)))
+    diagnostics = [
+        warning(f"illegal character {text!r}", file, *positions.locate(start))
+        for text, start in zip(compress(texts, dropped), compress(starts, dropped))
+    ]
+    return Tokens(list(compress(texts, kept)), positions), diagnostics
+
+
+def _exact_as_fast(texts: list[str]) -> bool:
+    """Whether the exact path reads each text holding a non-ASCII character
+    as the fast path did: it starts with ASCII or a ``str.isalpha`` character,
+    and follows no number that ``_number_end`` could extend into it."""
+    plain = bytes(map(str.isascii, texts))
+    index = plain.find(0)
+    while index >= 0:
+        text = texts[index]
+        if not (text[0].isascii() or text[0].isalpha()) or index and texts[index - 1][0].isdigit():
+            return False
+        index = plain.find(0, index + 1)
+    return True
 
 
 def _scan(source: str, file: str, strict: bool) -> tuple[Tokens, list[Diagnostic]]:

@@ -191,14 +191,18 @@ class _Reader:
         """The record ``element`` holds; the caller has checked its attributes.
 
         Containers are read before the record's own attributes, so an item's
-        warnings come before its owner's. A missing container reads as empty.
+        warnings come before its owner's. A missing container reads as empty;
+        a repeated container warns and is merged into the first.
         """
         containers: dict[str, list[ElementTree.Element]] = {}
         for child in element:
-            if child.tag in entry.known_children:
-                containers.setdefault(child.tag, []).append(child)
-            else:
+            if child.tag not in entry.known_children:
                 self.warn(f"unknown element <{child.tag}> under <{entry.tag}> (ignored)")
+            elif child.tag in containers:
+                self.warn(f"duplicate <{child.tag}> under <{entry.tag}> (merged)")
+                containers[child.tag].append(child)
+            else:
+                containers[child.tag] = [child]
         records = []
         for tag, _, item in entry.containers:
             known = _COUNT_ATTRIBUTES if tag == _COUNTED_CONTAINER else _NO_ATTRIBUTES
@@ -215,10 +219,11 @@ class _Reader:
             if tag == _COUNTED_CONTAINER:
                 for container in containers.get(tag, ()):
                     declared = container.get(_COUNT_ATTRIBUTE)
-                    if declared is not None and declared != str(len(found)):
+                    count = len(container.findall(item.tag))
+                    if declared is not None and declared != str(count):
                         self.warn(
                             f"{_COUNT_ATTRIBUTE}={declared!r} disagrees with "
-                            f"{len(found)} {item.tag} elements; using the element count"
+                            f"{count} {item.tag} elements; using the element count"
                         )
         values = []
         for name, _ in entry.attributes:

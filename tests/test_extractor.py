@@ -439,3 +439,14 @@ def test_positions_are_resolved_only_for_diagnostics(monkeypatch, tmp_path):
         f"{(tmp_path / 'W.java').as_posix()}:3:1: warning: unsupported construct: interface declaration (skipped)"
     ]
     assert counts == {"_token_starts": 1, "_line_starts": 1, "locate": 1}
+
+
+def test_a_non_ascii_file_resolves_its_warning_position_on_the_fast_path(monkeypatch, tmp_path):
+    counts = _count_position_work(monkeypatch)
+    source = "package p;\r\nclass Größe { int naïve; void m() { naïve = \"ü\" + 1; } }\r\n\tinterface Ä {}\r\n"
+    (tmp_path / "Größe.java").write_text(source, encoding="utf-8")
+    _, diagnostics, _ = parse_project(tmp_path, strict=False)
+    assert [str(d) for d in diagnostics] == [
+        f"{(tmp_path / 'Größe.java').as_posix()}:3:2: warning: unsupported construct: interface declaration (skipped)"
+    ]
+    assert counts == {"_token_starts": 1, "_line_starts": 1, "locate": 1}

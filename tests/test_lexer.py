@@ -1,6 +1,9 @@
 """Token stream behavior: kinds, positions, literals, and failure modes."""
 
+import importlib.util
 import random
+import re
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -279,8 +282,25 @@ def test_random_sources_report_true_increasing_positions(seed):
 
 
 # Where each code point is put: alone, at a token start, after a name
-# character, after each number prefix, and inside a string and a character.
-_PLACEMENTS = ("{}", "{}a0 b", "a{}", "1{}", "1.{}", "1e{}", "1e-{}", "0x{}", '"{}"', "'{}'")
+# character, after each number prefix, inside a string and a character, in
+# both comments, and after a lone illegal character.
+_PLACEMENTS = (
+    "{}", "{}a0 b", "a{}", "1{}", "1.{}", "1e{}", "1e-{}", "0x{}", '"{}"', "'{}'", "//{0}\n/*{0}*/", "#{}$",
+)
+# The placements where a code point that ``str.isalpha`` accepts is read as a
+# name or inside a literal, follows no number, and so takes the fast path.
+_NAME_PLACEMENTS = ("{}", "{}a0 b", "a{}", "1.{}", "1e-{}", '"{}"', "'{}'", "//{0}\n/*{0}*/")
+
+
+def _disagreeing_code_points() -> list[str]:
+    """Every non-ASCII character where ``str.isalpha`` and ``[^\\W\\d]``, or
+    ``str.isdigit`` and ``\\d``, disagree, and every non-ASCII space, which
+    neither path skips."""
+    chars = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    names, digits = set(re.findall(r"[^\W\d]", chars)), set(re.findall(r"\d", chars))
+    disagreeing = names.symmetric_difference(filter(str.isalpha, chars))
+    disagreeing |= digits.symmetric_difference(filter(str.isdigit, chars))
+    return sorted(disagreeing.union(filter(str.isspace, chars)))
 
 
 def test_fast_and_exact_paths_agree(monkeypatch):
@@ -288,7 +308,10 @@ def test_fast_and_exact_paths_agree(monkeypatch):
     ``line:col`` and every diagnostic, in both modes."""
     fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.java"))]
     corpus = [source for seed in range(5) for source in _random_sources(seed)]
-    code_points = [placement.format(chr(code)) for code in range(128) for placement in _PLACEMENTS]
+    disagreeing = _disagreeing_code_points()
+    sampled = [chr(code) for code in random.Random(10).sample(range(128, sys.maxunicode + 1), 600)]
+    characters = [*map(chr, range(128)), *disagreeing, *sampled]
+    code_points = [placement.format(character) for character in characters for placement in _PLACEMENTS]
     exact_scan = lexer._scan
     exact_scans = []
 
@@ -307,3 +330,45 @@ def test_fast_and_exact_paths_agree(monkeypatch):
     fast = set(fixtures + corpus + code_points).difference(exact_scans)
     assert set(fixtures) <= fast
     assert len(fast.intersection(corpus)) > 100 and len(fast.intersection(code_points)) > 900
+    # So did a non-ASCII letter wherever it reads as a name or in a literal.
+    letters = [character for character in disagreeing + sampled if character.isalpha()]
+    assert len(letters) > 50
+    assert fast.issuperset(placement.format(letter) for letter in letters for placement in _NAME_PLACEMENTS)
+
+
+def _load_generator(monkeypatch):
+    """``perfbench/gen.py``, the benchmark's input generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", FIXTURES.parent / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lenient_dense_files_take_the_fast_path(monkeypatch, tmp_path):
+    """The benchmark's lenient-dense files hold non-ASCII names and lone
+    illegal characters; all lex as on the exact path, and in lenient mode none
+    is scanned twice."""
+    _load_generator(monkeypatch).generate_lenient_dense(tmp_path, 0)
+    sources = [path.read_text(encoding="utf-8") for path in sorted(tmp_path.rglob("*.java"))]
+    assert len(sources) == 40 and not any(map(str.isascii, sources))
+    exact_scan = lexer._scan
+    exact_scans = []
+
+    def counted_scan(source, *rest):
+        exact_scans.append(rest)
+        return exact_scan(source, *rest)
+
+    monkeypatch.setattr(lexer, "_scan", counted_scan)
+    for strict in (True, False):
+        for source in sources:
+            tokens, diagnostics = tokenize(source, "F.java", strict)
+            exact_tokens, exact_diagnostics = exact_scan(source, "F.java", strict)
+            assert tokens.texts == exact_tokens.texts
+            # Equal offsets into one source are equal ``line:col``s.
+            assert list(map(tokens.positions.offset, range(len(tokens)))) == list(
+                map(exact_tokens.positions.offset, range(len(exact_tokens)))
+            )
+            assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics]
+    # Only strict mode scans a file again: one with an illegal character.
+    assert exact_scans and ("F.java", False) not in exact_scans

@@ -248,6 +248,21 @@ def test_parameter_count_mismatch_prefers_the_elements():
     assert [p.name for p in method.parameters] == ["a"]
 
 
+def test_repeated_containers_warn_and_each_parameters_counts_its_own_elements():
+    second = '<Parameters NumberOfParameters="1"><Parameter ParameterName="b" ParameterType="int"/></Parameters>'
+    text = FULL_DOC.replace("<LocalVariables>", f"{second}\n              <LocalVariables>").replace(
+        "<Methods>", '<Attributes><Attribute Name="y" AccessLevel="private" Type="int"/></Attributes>\n<Methods>'
+    )
+    model, diagnostics = import_xml(text)
+    assert [str(d) for d in diagnostics] == [
+        "<model>: warning: duplicate <Attributes> under <Class> (merged)",
+        "<model>: warning: duplicate <Parameters> under <Method> (merged)",
+    ]
+    cls = model.packages[0].classes[0]
+    assert [a.name for a in cls.attributes] == ["x", "y"]
+    assert [p.name for p in cls.methods[0].parameters] == ["a", "b"]
+
+
 def test_unknown_access_level_degrades_to_package_private():
     text = FULL_DOC.replace('<Class Name="C" AccessLevel="public"', '<Class Name="C" AccessLevel="cosmic"')
     model, diagnostics = import_xml(text)
@@ -352,8 +367,9 @@ def _import_digest(corpus) -> str:
 
 
 # sha256 of ``_import_digest`` over ``_import_corpus()``, recorded before the
-# model document's shape was stated in one table.
-_IMPORT_DIGEST = "ca23049d3012c673a5dce65880cf12764dfba5ed3466c0d164e4828e9d283447"
+# model document's shape was stated in one table, and again when a repeated
+# container began to warn and each ``Parameters`` to be counted on its own.
+_IMPORT_DIGEST = "db16cb14b966ebd9585a38839b36d29c797508e0ca5a3a271c412d4b753777b9"
 
 
 def test_mutated_documents_import_as_recorded():
