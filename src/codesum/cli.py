@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -152,9 +153,9 @@ def _run(config: RunConfig) -> int:
     summaries: tuple[SummaryDocument, ...] | None = None
     if model is not None and not has_errors(diagnostics):
         try:
-            planned: list[tuple[Path, str]] = []
+            planned: list[tuple[str, str]] = []
             if config.stage in (STAGE_EXTRACT, STAGE_FULL):
-                planned.append((config.out_dir / "model.xml", export_xml(model)))
+                planned.append((os.path.join(config.out_dir, "model.xml"), export_xml(model)))
             if config.stage in (STAGE_SUMMARIZE, STAGE_FULL):
                 summaries = summarize_project(model, config.rendering)
                 planned.extend(plan_emission(summaries, config.layout, config.out_dir))

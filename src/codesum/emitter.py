@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,44 +94,48 @@ def _method_file_name(document: SummaryDocument, overloaded: bool) -> str:
     return _sanitize(name) + ".txt"
 
 
-def plan_emission(summaries: tuple[SummaryDocument, ...], layout: str, out_dir: Path) -> list[tuple[Path, str]]:
+def plan_emission(
+    summaries: tuple[SummaryDocument, ...], layout: str, out_dir: str | os.PathLike[str]
+) -> list[tuple[str, str]]:
     """Map every document to its target path and exact file content.
 
     Raises ValueError on an unknown layout or when two documents map to the
     same path; nothing is written, so callers can abort with a clean tree.
     """
+    root = os.fspath(out_dir)
     if layout == COMBINED:
         blocks = [
             f"== {document.subject_kind} {document.subject_path} ==\n{document.body}\n"
             for document in summaries
         ]
-        return [(out_dir / "summary.txt", "\n".join(blocks))]
+        return [(os.path.join(root, "summary.txt"), "\n".join(blocks))]
 
     if layout != PER_IDENTIFIER:
         raise ValueError(f"unknown layout {layout!r}")
 
-    overloaded_names = _overloaded_method_names(summaries)
-    planned: list[tuple[Path, str]] = []
-    used: dict[Path, str] = {}
+    methods = Counter((d.package, d.class_name, d.method_name) for d in summaries if d.subject_kind == "method")
+    planned: list[tuple[str, str]] = []
+    # Keyed as the file system compares names: without case on Windows.
+    used: dict[str, SummaryDocument] = {}
     for document in summaries:
         if document.subject_kind == "class":
-            name = _sanitize(f"{document.package}.{document.class_name}") + ".txt"
-            path = out_dir / "classes" / name
+            path = f"{root}/classes/{_sanitize(f'{document.package}.{document.class_name}')}.txt"
         else:
             key = (document.package, document.class_name, document.method_name)
-            path = out_dir / "methods" / _method_file_name(document, key in overloaded_names)
-        if path in used:
+            path = f"{root}/methods/{_method_file_name(document, methods[key] > 1)}"
+        other = used.setdefault(os.path.normcase(path), document)
+        if other is not document:
             raise ValueError(
-                f"summary file name collision: {used[path]!r} and {document.subject_path!r} "
-                f"both map to {path.as_posix()}"
+                f"summary file name collision: {other.subject_path!r} and {document.subject_path!r} "
+                f"both map to {Path(path).as_posix()}"
             )
-        used[path] = document.subject_path
         planned.append((path, document.body + "\n"))
     return planned
 
 
-def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
-    """Write planned files as UTF-8; returns the paths in plan order.
+def write_plan(planned: list[tuple[str, str]]) -> list[str]:
+    """Write planned files as UTF-8; takes ``str`` paths and returns them in
+    plan order, as given.
 
     Three steps, one file at a time:
 
@@ -150,12 +155,12 @@ def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
     but the files that existed before keep what step 3 wrote to them: the
     one it failed on may hold new bytes followed by part of its old ones.
     """
-    made: list[Path] = []
-    created: list[Path] = []
+    made: list[str] = []
+    created: list[str] = []
     try:
-        for directory in dict.fromkeys(path.parent for path, _ in planned):
-            made += reversed([parent for parent in (directory, *directory.parents) if not parent.exists()])
-            directory.mkdir(parents=True, exist_ok=True)
+        for directory in dict.fromkeys(os.path.dirname(path) for path, _ in planned):
+            made += reversed([parent for parent in (directory, *Path(directory).parents) if not os.path.exists(parent)])
+            os.makedirs(directory, exist_ok=True)
         for path, _ in planned:
             try:
                 descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -171,12 +176,12 @@ def write_plan(planned: list[tuple[Path, str]]) -> list[Path]:
                 os.unlink(path)
         for directory in reversed(made):
             with contextlib.suppress(OSError):
-                directory.rmdir()
+                os.rmdir(directory)
         raise
     return [path for path, _ in planned]
 
 
-def _overwrite(path: Path, content: str) -> None:
+def _overwrite(path: str, content: str) -> None:
     """Write ``content`` over the existing file ``path`` and cut it to length.
 
     The content is encoded a slice at a time, so a large file never holds
@@ -198,12 +203,3 @@ def _overwrite(path: Path, content: str) -> None:
         if exc.filename is None:
             exc.filename = path
         raise
-
-
-def _overloaded_method_names(summaries: tuple[SummaryDocument, ...]) -> set[tuple[str, str, str | None]]:
-    counts: dict[tuple[str, str, str | None], int] = {}
-    for document in summaries:
-        if document.subject_kind == "method":
-            key = (document.package, document.class_name, document.method_name)
-            counts[key] = counts.get(key, 0) + 1
-    return {key for key, count in counts.items() if count > 1}

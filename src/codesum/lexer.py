@@ -31,7 +31,8 @@ scanned again on the exact path:
 
 The token offsets of a file come from one ``finditer`` over ``_TEXTS``, and
 only when a position is asked for: by a lone character's warning, or later
-by the parser's or the model builder's.
+by the parser's or the model builder's, which take them only as far as the
+furthest token asked for.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from array import array
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import not_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagnostics import Diagnostic, error, warning
 
@@ -154,14 +155,16 @@ _UNTERMINATED = {
 class Positions:
     """1-based ``(line, column)`` of a token index or a source offset."""
 
-    __slots__ = ("source", "_starts", "_lines")
+    __slots__ = ("source", "_starts", "_rest", "_lines")
 
     def __init__(self, source: str, starts: Sequence[int] | None = None):
-        self.source, self._starts, self._lines = source, starts, None
+        self.source, self._starts, self._rest, self._lines = source, starts, None, None
 
     def offset(self, index: int) -> int:
-        if self._starts is None:
-            self._starts = _token_starts(self.source)
+        if self._starts is None:  # offsets are found as far as they are asked for
+            self._starts, self._rest = array("q"), _token_starts(self.source)
+        if index >= len(self._starts) and self._rest is not None:
+            self._starts.extend(islice(self._rest, index + 1 - len(self._starts)))
         return self._starts[index]
 
     def position(self, index: int) -> tuple[int, int]:
@@ -174,10 +177,10 @@ class Positions:
         return line, offset - self._lines[line - 1] + 1
 
 
-def _token_starts(source: str) -> array:
+def _token_starts(source: str) -> Iterator[int]:
     """The offset of each ``_TEXTS`` match's token, lone illegal characters
-    and the end included: the fast path's token offsets."""
-    return array("q", map(re.Match.start, re.finditer(_TEXTS, source), repeat(1)))
+    and the end included: the fast path's token offsets, in order."""
+    return map(re.Match.start, re.finditer(_TEXTS, source), repeat(1))
 
 
 def _line_starts(source: str) -> list[int]:
@@ -246,7 +249,7 @@ def tokenize(
     if not lone:
         return Tokens(texts, Positions(source)), []
     # Lenient lone characters: each is a warning, and neither a token nor an offset.
-    starts = _token_starts(source)
+    starts = array("q", _token_starts(source))
     dropped = list(map(lone.__contains__, texts))
     kept = list(map(not_, dropped))
     positions = Positions(source, array("q", compress(starts, kept)))

@@ -8,13 +8,15 @@ and import reads from it and derives from it which attributes and elements
 are known. Attribute order is fixed, indentation is two spaces, container
 elements are always present even when empty, and an absent superclass is
 written as an empty attribute value, so exporting the same model twice
-yields identical bytes.
+yields identical bytes. Import reads expat's element events, building each
+record when its element ends, and holds no element tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import xml.etree.ElementTree as ElementTree
+from operator import itemgetter
+from xml.parsers import expat
 
 from .diagnostics import Diagnostic, error, warning
 from .model import (
@@ -31,6 +33,10 @@ from .model import (
     validate_model,
 )
 
+# The one container that states its item count: written from its items, and
+# on import checked against them.
+_COUNTED_CONTAINER, _COUNT_ATTRIBUTE = "Parameters", "NumberOfParameters"
+
 
 class _Entry:
     """One record type's element: its tag, its XML attributes in document
@@ -45,7 +51,17 @@ class _Entry:
         self.attributes = attributes
         self.containers = containers
         self.known_attributes = frozenset(name for name, _ in attributes)
-        self.known_children = frozenset(container for container, _, _ in containers)
+        # Import: each attribute's value when absent, where the access level
+        # and superclass stand, and each container's index and attributes.
+        self.names = tuple(name for name, _ in attributes)
+        self.defaults = tuple(AccessLevel.PACKAGE_PRIVATE.value if name == "AccessLevel" else "" for name in self.names)
+        self.access = self.names.index("AccessLevel") if "AccessLevel" in self.names else None
+        self.superclass = self.names.index("Superclass") if "Superclass" in self.names else None
+        self.plain = self.access is None and self.superclass is None and not containers
+        self.children = {
+            tag: (index, frozenset([_COUNT_ATTRIBUTE] if tag == _COUNTED_CONTAINER else []))
+            for index, (tag, _, _) in enumerate(containers)
+        }
         # Import passes the attributes' values, then the containers' records;
         # a record whose fields are declared in another order takes keywords.
         fields = [field for _, field in attributes] + [field for _, field, _ in containers]
@@ -94,12 +110,8 @@ _CLASS = _Entry(
 _PACKAGE = _Entry("Package", PackageDecl, (("PackageName", "name"),), (("Classes", "classes", _CLASS),))
 _PROJECT = _Entry("Project", CodeModel, (("ProjectName", "project_name"),), (("Packages", "packages", _PACKAGE),))
 
-# The one container that states its item count: written from its items, and
-# on import checked against them.
-_COUNTED_CONTAINER, _COUNT_ATTRIBUTE = "Parameters", "NumberOfParameters"
-_COUNT_ATTRIBUTES, _NO_ATTRIBUTES = frozenset((_COUNT_ATTRIBUTE,)), frozenset()
-
 _ACCESS_BY_VALUE = {level.value: level for level in AccessLevel}
+_section = itemgetter(0)
 
 
 def _escape(value: str) -> str:
@@ -157,88 +169,163 @@ def import_xml(text: str) -> tuple[CodeModel, list[Diagnostic]]:
     elements, a parameter-count mismatch) yield warnings. The model read is
     validated like an extracted one: each violation is an error.
     """
-    diagnostics: list[Diagnostic] = []
     empty = CodeModel(project_name="", packages=())
     try:
-        root = ElementTree.fromstring(text)
-    except ElementTree.ParseError as exc:
-        diagnostics.append(error(f"malformed XML: {exc}"))
-        return empty, diagnostics
-    if root.tag != _PROJECT.tag:
-        diagnostics.append(error(f"unknown root element {root.tag!r}, expected {_PROJECT.tag!r}"))
-        return empty, diagnostics
-
-    reader = _Reader(diagnostics)
-    reader.check_attributes(root, _PROJECT.known_attributes)
-    model = reader.read(_PROJECT, root)
-    diagnostics.extend(validate_model(model))
-    return model, diagnostics
+        root, model, messages = _read(text)
+    except expat.ExpatError as exc:
+        return empty, [error(f"malformed XML: {exc}")]
+    if model is None:
+        return empty, [error(f"unknown root element {root!r}, expected {_PROJECT.tag!r}")]
+    return model, [*map(warning, messages), *validate_model(model)]
 
 
-class _Reader:
-    def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
+def _universal(name: str) -> str:
+    """ElementTree's ``{uri}local`` form of a name that expat split at ``}``."""
+    return "{" + name if "}" in name else name
 
-    def warn(self, message: str) -> None:
-        self.diagnostics.append(warning(message))
 
-    def check_attributes(self, element: ElementTree.Element, known: frozenset[str]) -> None:
-        for name in element.attrib:
+def _build(entry: _Entry, attributes: dict[str, str], records: list, messages: list, section: int) -> object:
+    """The record of a closed element; an unknown access level's warning
+    goes to ``messages`` in ``section``."""
+    values = list(map(attributes.get, entry.names, entry.defaults))
+    if entry.access is not None:
+        value = values[entry.access]
+        if value not in _ACCESS_BY_VALUE:
+            messages.append((section, f"unknown access level {value!r} on <{entry.tag}>, using package-private"))
+        values[entry.access] = _ACCESS_BY_VALUE.get(value, AccessLevel.PACKAGE_PRIVATE)
+    if entry.superclass is not None:
+        values[entry.superclass] = values[entry.superclass] or None
+    return entry.build(*values, *records)
+
+
+class _Frame:
+    """An element with containers being read: its entry and attributes,
+    each container's records (None until it is seen), the open container's
+    index, and the warnings as ``(section, message)``."""
+
+    __slots__ = ("entry", "attributes", "records", "open", "mark", "declared", "messages")
+
+    def __init__(self, entry: _Entry, attributes: dict[str, str]):
+        self.entry, self.attributes, self.open, self.messages = entry, attributes, None, []
+        self.records: list[list | None] = [None] * len(entry.containers)
+
+    def check_attributes(self, section: int, attributes: dict[str, str], known: frozenset[str], tag: str) -> None:
+        for name in attributes:
             if name not in known:
-                self.warn(f"unknown attribute {name!r} on <{element.tag}> (ignored)")
+                self.messages.append((section, f"unknown attribute {_universal(name)!r} on <{tag}> (ignored)"))
 
-    def read(self, entry: _Entry, element: ElementTree.Element) -> object:
-        """The record ``element`` holds; the caller has checked its attributes.
 
-        Containers are read before the record's own attributes, so an item's
-        warnings come before its owner's. A missing container reads as empty;
-        a repeated container warns and is merged into the first.
-        """
-        containers: dict[str, list[ElementTree.Element]] = {}
-        for child in element:
-            if child.tag not in entry.known_children:
-                self.warn(f"unknown element <{child.tag}> under <{entry.tag}> (ignored)")
-            elif child.tag in containers:
-                self.warn(f"duplicate <{child.tag}> under <{entry.tag}> (merged)")
-                containers[child.tag].append(child)
+def _read(text: str) -> tuple[str, CodeModel | None, list[str]]:
+    """The root element's name, the model (None under another root) and its
+    warnings, from expat's element events; no element tree is kept.
+
+    Warnings keep the order of reading one element whole: its unknown and
+    duplicate children (section 0); per container ``i``, the attribute and
+    unknown-element warnings of its instances and items (``1 + 3 * i``),
+    the items' own warnings (``2 + 3 * i``) and the parameter count
+    (``3 + 3 * i``); its access level last. A frame sorts its warnings by
+    section at the end event. An element without containers has no frame:
+    its warnings come in order, straight into its owner's.
+    """
+    stack: list[_Frame] = []
+    skipping = 0  # depth inside an ignored element
+    leaf: tuple[_Entry, dict[str, str]] | None = None  # an open element without containers
+    root, model, messages = "", None, []
+
+    def start(name: str, attributes: dict[str, str]) -> None:
+        nonlocal skipping, leaf, root
+        if skipping:
+            skipping += 1
+            return
+        if not stack:
+            root = _universal(name)
+            if name != _PROJECT.tag:
+                skipping = 1
+                return
+            stack.append(_Frame(_PROJECT, attributes))
+            stack[0].check_attributes(0, attributes, _PROJECT.known_attributes, name)
+            return
+        frame = stack[-1]
+        entry, index = frame.entry, frame.open
+        if leaf is not None:
+            section, parent = 2 + 3 * index, leaf[0].tag
+        elif index is None:
+            child = entry.children.get(name)
+            if child is not None:
+                index, known = child
+                if frame.records[index] is None:
+                    frame.records[index] = []
+                else:
+                    frame.messages.append((0, f"duplicate <{name}> under <{entry.tag}> (merged)"))
+                frame.open, frame.mark = index, len(frame.records[index])
+                frame.declared = attributes.get(_COUNT_ATTRIBUTE) if _COUNT_ATTRIBUTE in known else None
+                if attributes:
+                    frame.check_attributes(1 + 3 * index, attributes, known, name)
+                return
+            section, parent = 0, entry.tag
+        else:
+            parent, _, item = entry.containers[index]
+            if name == item.tag:
+                if not item.known_attributes.issuperset(attributes):
+                    frame.check_attributes(1 + 3 * index, attributes, item.known_attributes, name)
+                if item.containers:
+                    stack.append(_Frame(item, attributes))
+                else:
+                    leaf = (item, attributes)
+                return
+            section = 1 + 3 * index
+        frame.messages.append((section, f"unknown element <{_universal(name)}> under <{parent}> (ignored)"))
+        skipping = 1
+
+    def end(name: str) -> None:
+        nonlocal skipping, leaf, model, messages
+        if skipping:
+            skipping -= 1
+            return
+        frame = stack[-1]
+        index = frame.open
+        if leaf is not None:
+            item, attributes = leaf
+            if item.plain:  # most elements: no access level, superclass or container
+                record = item.build(*map(attributes.get, item.names, item.defaults))
             else:
-                containers[child.tag] = [child]
-        records = []
-        for tag, _, item in entry.containers:
-            known = _COUNT_ATTRIBUTES if tag == _COUNTED_CONTAINER else _NO_ATTRIBUTES
-            found = []
-            for container in containers.get(tag, ()):
-                self.check_attributes(container, known)
-                for child in container:
-                    if child.tag == item.tag:
-                        self.check_attributes(child, item.known_attributes)
-                        found.append(child)
-                    else:
-                        self.warn(f"unknown element <{child.tag}> under <{tag}> (ignored)")
-            records.append([self.read(item, child) for child in found])
-            if tag == _COUNTED_CONTAINER:
-                for container in containers.get(tag, ()):
-                    declared = container.get(_COUNT_ATTRIBUTE)
-                    count = len(container.findall(item.tag))
-                    if declared is not None and declared != str(count):
-                        self.warn(
-                            f"{_COUNT_ATTRIBUTE}={declared!r} disagrees with "
-                            f"{count} {item.tag} elements; using the element count"
-                        )
-        values = []
-        for name, _ in entry.attributes:
-            if name == "AccessLevel":
-                values.append(self.access_level(element))
-            elif name == "Superclass":
-                values.append(element.get(name) or None)
+                record = _build(item, attributes, (), frame.messages, 2 + 3 * index)
+            frame.records[index].append(record)
+            leaf = None
+        elif index is not None:
+            frame.open, count = None, len(frame.records[index]) - frame.mark
+            if frame.declared not in (None, str(count)):
+                tag = frame.entry.containers[index][2].tag
+                message = f"{_COUNT_ATTRIBUTE}={frame.declared!r} disagrees with {count} {tag} elements"
+                frame.messages.append((3 + 3 * index, f"{message}; using the element count"))
+        else:
+            stack.pop()
+            records = [records or () for records in frame.records]
+            record = _build(frame.entry, frame.attributes, records, frame.messages, 1 + 3 * len(records))
+            texts = [message for _, message in sorted(frame.messages, key=_section)] if frame.messages else []
+            if stack:
+                stack[-1].records[stack[-1].open].append(record)
+                stack[-1].messages += [(2 + 3 * stack[-1].open, text) for text in texts]
             else:
-                values.append(element.get(name, ""))
-        return entry.build(*values, *records)
+                model, messages = record, texts
 
-    def access_level(self, element: ElementTree.Element) -> AccessLevel:
-        value = element.get("AccessLevel", AccessLevel.PACKAGE_PRIVATE.value)
-        level = _ACCESS_BY_VALUE.get(value)
-        if level is None:
-            self.warn(f"unknown access level {value!r} on <{element.tag}>, using package-private")
-            return AccessLevel.PACKAGE_PRIVATE
-        return level
+    def doctype(*_: object) -> None:
+        # A DTD can define or name entities whose references expat leaves to
+        # the application; ElementTree reports them from its default handler,
+        # which text must not reach.
+        parser.CharacterDataHandler, parser.DefaultHandlerExpand = len, default
+
+    def default(data: str) -> None:
+        if len(data) >= 2 and data[0] == "&":
+            reference = data.encode()[:100].decode(errors="replace")
+            raise expat.ExpatError(
+                f"undefined entity {reference}: line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+            )
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler, parser.StartDoctypeDeclHandler = start, end, doctype
+    try:
+        parser.Parse(text, True)
+    finally:
+        parser = None  # the handlers hold it
+    return root, model, messages

@@ -379,7 +379,7 @@ def test_a_full_disk_while_writing_is_reported_against_its_path(layout, drawing_
     real_write = os.write
     for index in range(1 + len(plan_emission(summaries, layout, tmp_path))):
         out = tmp_path / f"case-{index}"
-        plan_order = [out / "model.xml", *(path for path, _ in plan_emission(summaries, layout, out))]
+        plan_order = [out / "model.xml", *(Path(path) for path, _ in plan_emission(summaries, layout, out))]
         writes = []
 
         def full_disk(descriptor, data):
@@ -603,3 +603,12 @@ def test_output_does_not_depend_on_the_hash_seed(case, tmp_path):
     assert code == 0 and stdout == b"" and outputs
     if case == "lenient-extract-with-warnings":
         assert b"warnings: 2" in stderr
+
+
+def test_start_up_does_not_import_element_tree():
+    source_path = Path(cli.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, codesum.cli; print(sorted(m for m in sys.modules if m.startswith('xml.etree')))"],
+        env={**os.environ, "PYTHONPATH": str(source_path)}, capture_output=True, text=True,
+    )
+    assert (completed.returncode, completed.stdout, completed.stderr) == (0, "[]\n", "")

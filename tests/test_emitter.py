@@ -2,6 +2,7 @@
 
 import errno
 import os
+from pathlib import Path
 
 import pytest
 
@@ -59,8 +60,8 @@ def test_documents_follow_model_order_class_then_its_methods(drawing_shapes_mode
 def test_combined_layout_format(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
     paths = write_plan(plan_emission(summaries, COMBINED, tmp_path))
-    assert paths == [tmp_path / "summary.txt"]
-    content = paths[0].read_text(encoding="utf-8")
+    assert [Path(path) for path in paths] == [tmp_path / "summary.txt"]
+    content = Path(paths[0]).read_text(encoding="utf-8")
     assert content.startswith("== class coreElements.MyLine ==\n")
     assert "\n\n== method coreElements.MyLine.draw(Graphics) ==\n" in content
     assert content.endswith(".\n")
@@ -77,7 +78,7 @@ def test_combined_layout_with_no_documents_writes_an_empty_file(tmp_path):
 def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
     paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
-    relative = sorted(p.relative_to(tmp_path).as_posix() for p in paths)
+    relative = sorted(Path(p).relative_to(tmp_path).as_posix() for p in paths)
     assert relative == [
         "classes/coreElements.MyLine.txt",
         "classes/coreElements.MyOval.txt",
@@ -100,7 +101,7 @@ def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
     paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
     by_path = {path: document for path, document in zip(paths, summaries)}
     for path, document in by_path.items():
-        assert path.read_text(encoding="utf-8") == document.body + "\n"
+        assert Path(path).read_text(encoding="utf-8") == document.body + "\n"
 
 
 def _overload_model(parameter_types_by_index):
@@ -122,14 +123,14 @@ def test_overloaded_methods_get_parameter_type_suffixes(tmp_path):
     model = _overload_model([(), ("int",), ("int", "String[]")])
     summaries = summarize_project(model, CONFIG)
     paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
-    names = sorted(p.name for p in paths if "methods" in p.parts)
+    names = sorted(Path(p).name for p in paths if "methods" in Path(p).parts)
     assert names == ["p.C.foo.txt", "p.C.foo_int.txt", "p.C.foo_int_String--.txt"]
 
 
 def test_unique_methods_get_no_suffix(tmp_path):
     model = _overload_model([("int", "char")])
     paths = write_plan(plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path))
-    method_files = [p.name for p in paths if p.parent.name == "methods"]
+    method_files = [Path(p).name for p in paths if Path(p).parent.name == "methods"]
     assert method_files == ["p.C.foo.txt"]
 
 
@@ -141,11 +142,21 @@ def test_identical_signatures_collide_with_an_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_collision_names_both_subjects_and_the_shared_path(tmp_path):
+    model = _overload_model([("int",), ("int",)])
+    with pytest.raises(ValueError) as raised:
+        plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path)
+    assert str(raised.value) == (
+        "summary file name collision: 'p.C.foo(int)' and 'p.C.foo(int)' "
+        f"both map to {tmp_path.as_posix()}/methods/p.C.foo_int.txt"
+    )
+
+
 def test_file_names_sanitize_markup_characters(tmp_path):
     cls = ClassDecl(name="List<String>", access_level=AccessLevel.PUBLIC, declared_package="p")
     model = CodeModel("demo", (PackageDecl("p", (cls,)),))
     paths = write_plan(plan_emission(summarize_project(model, CONFIG), PER_IDENTIFIER, tmp_path))
-    assert [p.name for p in paths] == ["p.List-String-.txt"]
+    assert [Path(p).name for p in paths] == ["p.List-String-.txt"]
 
 
 def test_emit_is_deterministic(drawing_shapes_model, tmp_path):
@@ -206,7 +217,7 @@ def test_rerunning_over_an_identical_tree_updates_every_mtime(drawing_shapes_mod
         os.utime(path, ns=(10**9, 10**9))
     write_plan(planned)
     assert _files(tmp_path) == before
-    assert [path for path, _ in planned if path.stat().st_mtime_ns <= 10**9] == []
+    assert [path for path, _ in planned if Path(path).stat().st_mtime_ns <= 10**9] == []
 
 
 def _open_descriptors():
@@ -220,7 +231,7 @@ def test_write_plan_leaks_no_file_descriptor(drawing_shapes_model, tmp_path, mon
     write_plan(planned)
     assert _open_descriptors() == opened
 
-    blocked = planned[5][0]
+    blocked = Path(planned[5][0])
     blocked.unlink()
     blocked.mkdir()
     with pytest.raises(IsADirectoryError):

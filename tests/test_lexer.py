@@ -64,6 +64,19 @@ def test_positions_are_one_based():
     assert (tokens[1].line, tokens[1].column) == (2, 3)
 
 
+def test_offsets_asked_for_out_of_order_equal_the_full_scan():
+    source = "package p;\r\nclass Größe {\r\n  int naïve = 1; // ü\r\n  void m() { naïve += 2; }\r\n}\r\n"
+    tokens, diagnostics = tokenize(source, "Größe.java")
+    assert diagnostics == []
+    starts = list(lexer._token_starts(source))
+    end = len(tokens)
+    assert tokens.positions.offset(end // 2) == starts[end // 2]
+    assert len(tokens.positions._starts) == end // 2 + 1  # found only as far as asked
+    for index in (0, end - 1, end, 1):
+        assert tokens.positions.offset(index) == starts[index], index
+    assert source[starts[end - 1]] == "}" and starts[end] == len(source)
+
+
 def test_keywords_versus_identifiers():
     tokens = _clean("classy class")
     assert tokens[0].kind is TokenKind.IDENTIFIER

@@ -1,5 +1,8 @@
 """Message templates, list rendering, and display folding."""
 
+import re
+from random import Random
+
 import pytest
 
 from codesum.model import (
@@ -55,6 +58,23 @@ def test_render_identifier_leaves_other_names_alone():
     assert render_identifier("X", CONFIG) == "X"  # single letters stay
     assert render_identifier("__", CONFIG) == "__"  # no alphabetic character
     assert render_identifier("getX1", CONFIG) == "getX1"
+
+
+def _folds(name: str) -> bool:
+    """The folding rule as first written, without the upper-case pre-test."""
+    return len(name) >= 2 and bool(re.fullmatch(r"[A-Z_][A-Z0-9_]*", name)) and any(ch.isalpha() for ch in name)
+
+
+def test_render_identifier_folds_exactly_the_constant_style_names():
+    ascii_characters = [chr(code) for code in range(128)]
+    names = ascii_characters + [first + second for first in ascii_characters for second in ascii_characters]
+    rng = Random(2011)
+    others = [chr(code) for code in range(128, 0x3000) if chr(code).isalnum()]
+    pieces = others + list("AZ_09az")
+    names += ["ÄB", "ǅX", "ΣΑ", "X²", "Ⅻ_A", "A\u0130"]
+    names += ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 4))) for _ in range(3000)]
+    for name in names:
+        assert render_identifier(name, CONFIG) == (name.lower() if _folds(name) else name), repr(name)
 
 
 def test_render_identifier_folding_can_be_disabled():

@@ -206,6 +206,57 @@ def test_malformed_document_is_an_error():
     assert any("malformed XML" in d.message for d in diagnostics)
 
 
+def _element_tree_error(text: str) -> str | None:
+    """ElementTree's ``ParseError`` text for a document, or None if it parses."""
+    try:
+        ElementTree.fromstring(text)
+    except ElementTree.ParseError as exc:
+        return str(exc)
+    return None
+
+
+def _with_doctype(declaration: str, old: str, new: str) -> str:
+    body = FULL_DOC.split("\n", 1)[1]
+    assert old in body
+    return f"<!DOCTYPE Project {declaration}>\n" + body.replace(old, new, 1)
+
+
+def test_malformed_documents_are_reported_as_element_tree_reports_them():
+    documents = [FULL_DOC[:end] for end in range(len(FULL_DOC) + 1)] + [
+        FULL_DOC.replace("<Project ", '<Project xmlns="urn:p" '),
+        FULL_DOC.replace("<Packages>", '<q:Packages xmlns:q="urn:q">').replace("</Packages>", "</q:Packages>"),
+        FULL_DOC.replace("<Packages>", "<q:Packages>").replace("</Packages>", "</q:Packages>"),
+        _with_doctype('[<!ENTITY e "p">]', 'PackageName="p"', 'PackageName="&e;"'),
+        _with_doctype('[<!ENTITY e "p">]', "<Packages>", "&e;&amp;&#65;<Packages>"),
+        _with_doctype('[<!ENTITY e "p">]', "<Packages>", "&u;<Packages>"),
+        _with_doctype('SYSTEM "x.dtd"', "<Packages>", "\n  &e;<Packages>"),
+        _with_doctype('SYSTEM "x.dtd"', 'PackageName="p"', 'PackageName="&e;"'),
+        _with_doctype('SYSTEM "x.dtd"', "<Packages>", f"&{'n' * 120};<Packages>"),
+        _with_doctype('SYSTEM "x.dtd" [<!ENTITY % q "x"> %q; %r;]', "<Packages>", "&e;<Packages>"),
+        _with_doctype('[<!ENTITY e SYSTEM "e.xml">]', "<Packages>", "&e;<Packages>"),
+        _with_doctype('[<!ENTITY e SYSTEM "e.xml"><!ENTITY a "x&e;">]', "<Packages>", "&a;<Packages>"),
+        _with_doctype('[<!ATTLIST Package Extra CDATA "d">]', "<Packages>", "<!-- c --><?pi x?>text<Packages>"),
+    ]
+    for text in documents:
+        expected = _element_tree_error(text)
+        _, diagnostics = import_xml(text)
+        malformed = [d.message for d in diagnostics if d.message.startswith("malformed XML: ")]
+        assert malformed == ([f"malformed XML: {expected}"] if expected else []), text
+
+
+def test_namespaced_names_read_as_element_tree_names_them():
+    _, diagnostics = import_xml(FULL_DOC.replace("<Project ", '<Project xmlns="urn:p" '))
+    assert [str(d) for d in diagnostics] == ["<model>: error: unknown root element '{urn:p}Project', expected 'Project'"]
+    text = FULL_DOC.replace("<Packages>", '<q:Packages xmlns:q="urn:q" q:Size="1">').replace("</Packages>", "</q:Packages>")
+    model, diagnostics = import_xml(text)
+    assert [str(d) for d in diagnostics] == ["<model>: warning: unknown element <{urn:q}Packages> under <Project> (ignored)"]
+    assert model == CodeModel("demo", ())
+    text = FULL_DOC.replace('<Project ProjectName="demo">', '<Project xmlns:q="urn:q" ProjectName="demo" q:Size="1">')
+    model, diagnostics = import_xml(text)
+    assert [str(d) for d in diagnostics] == ["<model>: warning: unknown attribute '{urn:q}Size' on <Project> (ignored)"]
+    assert model == _full_model()
+
+
 def test_unknown_root_element_is_an_error():
     model, diagnostics = import_xml("<Zoo/>")
     assert model == CodeModel("", ())
@@ -235,6 +286,29 @@ def test_element_under_a_leaf_is_ignored_with_a_warning(tag):
     model, diagnostics = import_xml(text)
     assert [str(d) for d in diagnostics] == [f"<model>: warning: unknown element <Kid> under <{tag}> (ignored)"]
     assert model == _full_model()
+
+
+def test_warnings_under_leaves_follow_their_containers_warnings():
+    text = FULL_DOC.replace(
+        '<Attribute Name="x" AccessLevel="private" Type="int"/>',
+        '<Attribute Name="x" AccessLevel="cosmic" Type="int"><Kid/></Attribute>'
+        '<Attribute Name="y" AccessLevel="private" Type="int" Extra="1"><Kid2/></Attribute><Oddity/>',
+    ).replace(
+        '<Parameter ParameterName="a" ParameterType="int"/>',
+        '<Parameter ParameterName="a" ParameterType="int"><Kid3/></Parameter>'
+        '<Parameter ParameterName="b" ParameterType="int" Extra="2"/>',
+    )
+    _, diagnostics = import_xml(text)
+    assert [d.message for d in diagnostics] == [
+        "unknown attribute 'Extra' on <Attribute> (ignored)",
+        "unknown element <Oddity> under <Attributes> (ignored)",
+        "unknown element <Kid> under <Attribute> (ignored)",
+        "unknown access level 'cosmic' on <Attribute>, using package-private",
+        "unknown element <Kid2> under <Attribute> (ignored)",
+        "unknown attribute 'Extra' on <Parameter> (ignored)",
+        "unknown element <Kid3> under <Parameter> (ignored)",
+        "NumberOfParameters='1' disagrees with 2 Parameter elements; using the element count",
+    ]
 
 
 def test_parameter_count_mismatch_prefers_the_elements():
