@@ -94,15 +94,13 @@ def _method_file_name(document: SummaryDocument, overloaded: bool) -> str:
     return _sanitize(name) + ".txt"
 
 
-def plan_emission(
-    summaries: tuple[SummaryDocument, ...], layout: str, out_dir: str | os.PathLike[str]
-) -> list[tuple[str, str]]:
+def plan_emission(summaries: tuple[SummaryDocument, ...], layout: str, out_dir: Path) -> list[tuple[str, str]]:
     """Map every document to its target path and exact file content.
 
     Raises ValueError on an unknown layout or when two documents map to the
     same path; nothing is written, so callers can abort with a clean tree.
     """
-    root = os.fspath(out_dir)
+    root = os.path.join(os.fspath(out_dir), "")  # ends in a separator
     if layout == COMBINED:
         blocks = [
             f"== {document.subject_kind} {document.subject_path} ==\n{document.body}\n"
@@ -119,10 +117,10 @@ def plan_emission(
     used: dict[str, SummaryDocument] = {}
     for document in summaries:
         if document.subject_kind == "class":
-            path = f"{root}/classes/{_sanitize(f'{document.package}.{document.class_name}')}.txt"
+            path = f"{root}classes/{_sanitize(f'{document.package}.{document.class_name}')}.txt"
         else:
             key = (document.package, document.class_name, document.method_name)
-            path = f"{root}/methods/{_method_file_name(document, methods[key] > 1)}"
+            path = f"{root}methods/{_method_file_name(document, methods[key] > 1)}"
         other = used.setdefault(os.path.normcase(path), document)
         if other is not document:
             raise ValueError(
@@ -158,7 +156,7 @@ def write_plan(planned: list[tuple[str, str]]) -> list[str]:
     made: list[str] = []
     created: list[str] = []
     try:
-        for directory in dict.fromkeys(os.path.dirname(path) for path, _ in planned):
+        for directory in dict.fromkeys(os.path.dirname(path) or os.curdir for path, _ in planned):
             made += reversed([parent for parent in (directory, *Path(directory).parents) if not os.path.exists(parent)])
             os.makedirs(directory, exist_ok=True)
         for path, _ in planned:

@@ -57,7 +57,6 @@ class _Entry:
         self.defaults = tuple(AccessLevel.PACKAGE_PRIVATE.value if name == "AccessLevel" else "" for name in self.names)
         self.access = self.names.index("AccessLevel") if "AccessLevel" in self.names else None
         self.superclass = self.names.index("Superclass") if "Superclass" in self.names else None
-        self.plain = self.access is None and self.superclass is None and not containers
         self.children = {
             tag: (index, frozenset([_COUNT_ATTRIBUTE] if tag == _COUNTED_CONTAINER else []))
             for index, (tag, _, _) in enumerate(containers)
@@ -184,24 +183,10 @@ def _universal(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _build(entry: _Entry, attributes: dict[str, str], records: list, messages: list, section: int) -> object:
-    """The record of a closed element; an unknown access level's warning
-    goes to ``messages`` in ``section``."""
-    values = list(map(attributes.get, entry.names, entry.defaults))
-    if entry.access is not None:
-        value = values[entry.access]
-        if value not in _ACCESS_BY_VALUE:
-            messages.append((section, f"unknown access level {value!r} on <{entry.tag}>, using package-private"))
-        values[entry.access] = _ACCESS_BY_VALUE.get(value, AccessLevel.PACKAGE_PRIVATE)
-    if entry.superclass is not None:
-        values[entry.superclass] = values[entry.superclass] or None
-    return entry.build(*values, *records)
-
-
 class _Frame:
-    """An element with containers being read: its entry and attributes,
-    each container's records (None until it is seen), the open container's
-    index, and the warnings as ``(section, message)``."""
+    """An open element: its entry and attributes, each container's records
+    (None until it is seen), the open container's index, and the warnings
+    as ``(section, message)``."""
 
     __slots__ = ("entry", "attributes", "records", "open", "mark", "declared", "messages")
 
@@ -209,31 +194,39 @@ class _Frame:
         self.entry, self.attributes, self.open, self.messages = entry, attributes, None, []
         self.records: list[list | None] = [None] * len(entry.containers)
 
-    def check_attributes(self, section: int, attributes: dict[str, str], known: frozenset[str], tag: str) -> None:
-        for name in attributes:
-            if name not in known:
-                self.messages.append((section, f"unknown attribute {_universal(name)!r} on <{tag}> (ignored)"))
+
+def _build(frame: _Frame) -> object:
+    """The record of a closed element; an unknown access level warns last."""
+    entry, records = frame.entry, [records or () for records in frame.records]
+    values = list(map(frame.attributes.get, entry.names, entry.defaults))
+    if entry.access is not None:
+        value = values[entry.access]
+        if value not in _ACCESS_BY_VALUE:
+            message = f"unknown access level {value!r} on <{entry.tag}>, using package-private"
+            frame.messages.append((1 + 3 * len(records), message))
+        values[entry.access] = _ACCESS_BY_VALUE.get(value, AccessLevel.PACKAGE_PRIVATE)
+    if entry.superclass is not None:
+        values[entry.superclass] = values[entry.superclass] or None
+    return entry.build(*values, *records)
 
 
 def _read(text: str) -> tuple[str, CodeModel | None, list[str]]:
     """The root element's name, the model (None under another root) and its
     warnings, from expat's element events; no element tree is kept.
 
-    Warnings keep the order of reading one element whole: its unknown and
-    duplicate children (section 0); per container ``i``, the attribute and
-    unknown-element warnings of its instances and items (``1 + 3 * i``),
-    the items' own warnings (``2 + 3 * i``) and the parameter count
-    (``3 + 3 * i``); its access level last. A frame sorts its warnings by
-    section at the end event. An element without containers has no frame:
-    its warnings come in order, straight into its owner's.
+    Warnings keep the order of reading one element whole: its attributes'
+    and its unknown and duplicate children's (section 0); per container
+    ``i``, the attribute and unknown-element warnings of its instances and
+    items (``1 + 3 * i``), the items' own warnings (``2 + 3 * i``) and the
+    parameter count (``3 + 3 * i``); its access level last. A frame sorts
+    its warnings by section at the end event and hands them to its owner.
     """
     stack: list[_Frame] = []
     skipping = 0  # depth inside an ignored element
-    leaf: tuple[_Entry, dict[str, str]] | None = None  # an open element without containers
     root, model, messages = "", None, []
 
     def start(name: str, attributes: dict[str, str]) -> None:
-        nonlocal skipping, leaf, root
+        nonlocal skipping, root
         if skipping:
             skipping += 1
             return
@@ -242,77 +235,59 @@ def _read(text: str) -> tuple[str, CodeModel | None, list[str]]:
             if name != _PROJECT.tag:
                 skipping = 1
                 return
-            stack.append(_Frame(_PROJECT, attributes))
-            stack[0].check_attributes(0, attributes, _PROJECT.known_attributes, name)
-            return
-        frame = stack[-1]
-        entry, index = frame.entry, frame.open
-        if leaf is not None:
-            section, parent = 2 + 3 * index, leaf[0].tag
-        elif index is None:
-            child = entry.children.get(name)
-            if child is not None:
-                index, known = child
+            frame, known, section = _Frame(_PROJECT, attributes), _PROJECT.known_attributes, 0
+            stack.append(frame)
+        else:
+            frame = stack[-1]
+            entry, index = frame.entry, frame.open
+            if index is None and name in entry.children:
+                index, known = entry.children[name]
                 if frame.records[index] is None:
                     frame.records[index] = []
                 else:
                     frame.messages.append((0, f"duplicate <{name}> under <{entry.tag}> (merged)"))
                 frame.open, frame.mark = index, len(frame.records[index])
                 frame.declared = attributes.get(_COUNT_ATTRIBUTE) if _COUNT_ATTRIBUTE in known else None
-                if attributes:
-                    frame.check_attributes(1 + 3 * index, attributes, known, name)
-                return
-            section, parent = 0, entry.tag
-        else:
-            parent, _, item = entry.containers[index]
-            if name == item.tag:
-                if not item.known_attributes.issuperset(attributes):
-                    frame.check_attributes(1 + 3 * index, attributes, item.known_attributes, name)
-                if item.containers:
-                    stack.append(_Frame(item, attributes))
-                else:
-                    leaf = (item, attributes)
+            elif index is not None and name == entry.containers[index][2].tag:
+                known = entry.containers[index][2].known_attributes
+                stack.append(_Frame(entry.containers[index][2], attributes))
+            else:
+                section, parent = (0, entry.tag) if index is None else (1 + 3 * index, entry.containers[index][0])
+                frame.messages.append((section, f"unknown element <{_universal(name)}> under <{parent}> (ignored)"))
+                skipping = 1
                 return
             section = 1 + 3 * index
-        frame.messages.append((section, f"unknown element <{_universal(name)}> under <{parent}> (ignored)"))
-        skipping = 1
+        if not known.issuperset(attributes):
+            for key in attributes:
+                if key not in known:
+                    frame.messages.append((section, f"unknown attribute {_universal(key)!r} on <{name}> (ignored)"))
 
     def end(name: str) -> None:
-        nonlocal skipping, leaf, model, messages
+        nonlocal skipping, model, messages
         if skipping:
             skipping -= 1
             return
         frame = stack[-1]
         index = frame.open
-        if leaf is not None:
-            item, attributes = leaf
-            if item.plain:  # most elements: no access level, superclass or container
-                record = item.build(*map(attributes.get, item.names, item.defaults))
-            else:
-                record = _build(item, attributes, (), frame.messages, 2 + 3 * index)
-            frame.records[index].append(record)
-            leaf = None
-        elif index is not None:
+        if index is not None:  # the open container ends
             frame.open, count = None, len(frame.records[index]) - frame.mark
             if frame.declared not in (None, str(count)):
                 tag = frame.entry.containers[index][2].tag
                 message = f"{_COUNT_ATTRIBUTE}={frame.declared!r} disagrees with {count} {tag} elements"
                 frame.messages.append((3 + 3 * index, f"{message}; using the element count"))
+            return
+        stack.pop()
+        record = _build(frame)
+        texts = [message for _, message in sorted(frame.messages, key=_section)] if frame.messages else []
+        if stack:
+            stack[-1].records[stack[-1].open].append(record)
+            stack[-1].messages += [(2 + 3 * stack[-1].open, text) for text in texts]
         else:
-            stack.pop()
-            records = [records or () for records in frame.records]
-            record = _build(frame.entry, frame.attributes, records, frame.messages, 1 + 3 * len(records))
-            texts = [message for _, message in sorted(frame.messages, key=_section)] if frame.messages else []
-            if stack:
-                stack[-1].records[stack[-1].open].append(record)
-                stack[-1].messages += [(2 + 3 * stack[-1].open, text) for text in texts]
-            else:
-                model, messages = record, texts
+            model, messages = record, texts
 
     def doctype(*_: object) -> None:
-        # A DTD can define or name entities whose references expat leaves to
-        # the application; ElementTree reports them from its default handler,
-        # which text must not reach.
+        # Expat leaves references to entities a DTD may define to the default
+        # handler, from which ElementTree reports them; text must not reach it.
         parser.CharacterDataHandler, parser.DefaultHandlerExpand = len, default
 
     def default(data: str) -> None:
