@@ -278,12 +278,13 @@ def _read(text: str) -> tuple[str, CodeModel | None, list[str]]:
             return
         stack.pop()
         record = _build(frame)
-        texts = [message for _, message in sorted(frame.messages, key=_section)] if frame.messages else []
-        if stack:
-            stack[-1].records[stack[-1].open].append(record)
-            stack[-1].messages += [(2 + 3 * stack[-1].open, text) for text in texts]
-        else:
-            model, messages = record, texts
+        if not stack:
+            model, messages = record, [message for _, message in sorted(frame.messages, key=_section)]
+            return
+        owner = stack[-1]
+        owner.records[owner.open].append(record)
+        if frame.messages:
+            owner.messages += [(2 + 3 * owner.open, text) for _, text in sorted(frame.messages, key=_section)]
 
     def doctype(*_: object) -> None:
         # Expat leaves references to entities a DTD may define to the default

@@ -75,6 +75,18 @@ def test_combined_layout_with_no_documents_writes_an_empty_file(tmp_path):
     assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == ""
 
 
+def test_a_plan_for_the_working_directory_stays_relative(drawing_shapes_model, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    summaries = summarize_project(drawing_shapes_model, CONFIG)
+    for out_dir in (Path(""), Path(".")):
+        planned = plan_emission(summaries, PER_IDENTIFIER, out_dir) + plan_emission(summaries, COMBINED, out_dir)
+        assert not [path for path, _ in planned if os.path.isabs(path)]
+    write_plan(planned + [("bare.txt", "bare\n")])
+    assert (tmp_path / "summary.txt").is_file()
+    assert (tmp_path / "classes" / "coreElements.MyLine.txt").is_file()
+    assert (tmp_path / "bare.txt").read_text(encoding="utf-8") == "bare\n"
+
+
 def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
     paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))
