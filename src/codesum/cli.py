@@ -12,8 +12,8 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, error, has_errors
 from .emitter import COMBINED, PER_IDENTIFIER, SummaryDocument, plan_emission, summarize_project, write_plan
@@ -27,8 +27,7 @@ STAGE_SUMMARIZE = "summarize"
 STAGE_FULL = "full"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     out_dir: Path
     input_dir: Path | None = None
     xml_path: Path | None = None
@@ -36,7 +35,7 @@ class RunConfig:
     layout: str = COMBINED
     strict: bool = True
     stage: str = STAGE_FULL
-    rendering: RenderingConfig = field(default_factory=RenderingConfig)
+    rendering: RenderingConfig = RenderingConfig()
     extension: str = ".java"
 
 
@@ -70,7 +69,7 @@ def load_render_config(path: Path) -> RenderingConfig:
             lowercase = value.lower() == "true"
         else:
             raise ValueError(f"{path.as_posix()}:{number}: unknown key {key!r}")
-    return replace(config, type_display_map=type_map, lowercase_constant_identifiers=lowercase)
+    return RenderingConfig(type_map, lowercase)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

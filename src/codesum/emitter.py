@@ -12,8 +12,8 @@ import contextlib
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import CodeModel
 from .summarizer import RapidSummaryMessage, RenderingConfig, class_messages, method_messages
@@ -27,8 +27,7 @@ _UNSAFE_FILENAME_CHARS = re.compile(r"[^A-Za-z0-9_.\-]")
 _ENCODE_SLICE = 64 * 1024
 
 
-@dataclass(frozen=True)
-class SummaryDocument:
+class SummaryDocument(NamedTuple):
     """One subject's aggregated paragraph."""
 
     subject_kind: str  # "class" or "method"
@@ -59,27 +58,12 @@ def summarize_project(model: CodeModel, config: RenderingConfig) -> tuple[Summar
     documents: list[SummaryDocument] = []
     for package in model.packages:
         for cls in package.classes:
-            documents.append(
-                SummaryDocument(
-                    subject_kind="class",
-                    package=package.name,
-                    class_name=cls.name,
-                    method_name=None,
-                    parameter_types=(),
-                    body=aggregate(class_messages(cls, config)),
-                )
-            )
+            body = aggregate(class_messages(cls, config))
+            documents.append(SummaryDocument("class", package.name, cls.name, None, (), body))
             for method in cls.methods:
-                documents.append(
-                    SummaryDocument(
-                        subject_kind="method",
-                        package=package.name,
-                        class_name=cls.name,
-                        method_name=method.name,
-                        parameter_types=tuple(param.declared_type for param in method.parameters),
-                        body=aggregate(method_messages(method, config)),
-                    )
-                )
+                parameter_types = tuple([param.declared_type for param in method.parameters])
+                body = aggregate(method_messages(method, config))
+                documents.append(SummaryDocument("method", package.name, cls.name, method.name, parameter_types, body))
     return tuple(documents)
 
 
@@ -138,11 +122,11 @@ def write_plan(planned: list[tuple[str, str]]) -> list[str]:
     Three steps, one file at a time:
 
     1. Every parent directory is made.
-    2. Every target is opened for writing without truncating it, which
-       creates the targets that do not exist yet. Whatever the operating
-       system would refuse (a file where a directory goes, a directory where
-       a file goes, a missing permission) fails here, before any byte is
-       written.
+    2. Every target is opened for writing without truncating it; a target
+       that does not exist yet is then created, exclusively, so a dangling
+       symbolic link fails as missing. Whatever the operating system would
+       refuse (a file where a directory goes, a directory where a file goes,
+       a missing permission) fails here, before any byte is written.
     3. Each file is written over its old bytes and then cut to the new
        length, so a rerun updates every file's mtime.
 
@@ -161,10 +145,13 @@ def write_plan(planned: list[tuple[str, str]]) -> list[str]:
             os.makedirs(directory, exist_ok=True)
         for path, _ in planned:
             try:
-                descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                created.append(path)
-            except FileExistsError:
                 descriptor = os.open(path, os.O_WRONLY)
+            except FileNotFoundError as missing:
+                try:
+                    descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                except FileExistsError:  # a dangling symbolic link
+                    raise missing from None
+                created.append(path)
             os.close(descriptor)
         for path, content in planned:
             _overwrite(path, content)

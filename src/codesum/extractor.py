@@ -85,10 +85,7 @@ def build_model(
             declared = _build_class(cls, package_name, known_types, unit, diagnostics)
             package_classes.setdefault(package_name, []).append(declared)
 
-    model = CodeModel(
-        project_name=project_name,
-        packages=tuple(PackageDecl(name, tuple(classes)) for name, classes in package_classes.items()),
-    )
+    model = CodeModel(project_name, [PackageDecl(name, classes) for name, classes in package_classes.items()])
     diagnostics.extend(validate_model(model))
     return model, diagnostics
 
@@ -117,14 +114,7 @@ def _build_class(
 
     methods = [_build_method(method, cls, field_types, known_types) for method in cls.methods]
 
-    return ClassDecl(
-        name=cls.name,
-        access_level=cls.access_level,
-        declared_package=package_name,
-        superclass=cls.superclass,
-        attributes=tuple(attributes),
-        methods=tuple(methods),
-    )
+    return ClassDecl(cls.name, cls.access_level, package_name, cls.superclass, attributes, methods)
 
 
 def _build_method(
@@ -132,7 +122,7 @@ def _build_method(
 ) -> MethodDecl:
     """Resolve the method's events against its locals, parameters and
     fields; a local shadows a parameter, which shadows a field."""
-    parameters = tuple(ParameterDecl(param.name, param.type_text) for param in method.parameters)
+    parameters = [ParameterDecl(param.name, param.type_text) for param in method.parameters]
     variables = {**field_types, **{param.name: param.type_text for param in method.parameters}}
     local_variables = []
     accesses: dict[str, AttributeAccess] = {}
@@ -169,14 +159,8 @@ def _build_method(
                     resolved = UNKNOWN_TYPE
             accesses[name] = AttributeAccess(name, resolved)
     return MethodDecl(
-        name=method.name,
-        access_level=method.access_level,
-        return_type=method.return_type,
-        declared_class=cls.name,
-        parameters=parameters,
-        local_variables=tuple(local_variables),
-        attribute_accesses=tuple(accesses.values()),
-        method_invocations=tuple(invocations),
+        method.name, method.access_level, method.return_type, cls.name,
+        parameters, local_variables, accesses.values(), invocations,
     )
 
 

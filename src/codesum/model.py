@@ -1,14 +1,20 @@
 """In-memory model of an analyzed object-oriented project.
 
 The model is a plain tree: project -> packages -> classes -> members. Every
-collection keeps insertion order, every node is immutable once built, and
-structural equality works across an export/import cycle.
+node is a named tuple, immutable once built, and every collection is a
+tuple in insertion order; a list passed in is kept as a tuple.
+
+Equality is tuple equality: records are equal when their fields are, and
+it holds across an export/import cycle. It ignores the record's type, so
+``ParameterDecl("a", "int") == LocalVariableDecl("a", "int")`` and a record
+equals a plain tuple of its fields. For equality that includes the type,
+compare ``repr``s, which name every record's type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, error
 
@@ -26,26 +32,17 @@ class AccessLevel(Enum):
     PACKAGE_PRIVATE = "package-private"
 
 
-def _freeze(instance: object, **fields: object) -> None:
-    # frozen dataclasses forbid plain assignment, so coerce via object.__setattr__
-    for name, value in fields.items():
-        object.__setattr__(instance, name, tuple(value))  # type: ignore[call-overload]
-
-
-@dataclass(frozen=True)
-class ParameterDecl:
+class ParameterDecl(NamedTuple):
     name: str
     declared_type: str
 
 
-@dataclass(frozen=True)
-class LocalVariableDecl:
+class LocalVariableDecl(NamedTuple):
     name: str
     declared_type: str
 
 
-@dataclass(frozen=True)
-class AttributeAccess:
+class AttributeAccess(NamedTuple):
     """A field read or write observed in a method body.
 
     ``resolved_type`` falls back to ``UNKNOWN_TYPE`` when the name cannot be
@@ -56,8 +53,7 @@ class AttributeAccess:
     resolved_type: str = UNKNOWN_TYPE
 
 
-@dataclass(frozen=True)
-class MethodInvocation:
+class MethodInvocation(NamedTuple):
     """A call observed in a method body.
 
     ``accessed_in`` names the receiver's declared type and falls back to
@@ -68,21 +64,17 @@ class MethodInvocation:
     accessed_in: str = EXTERNAL_RECEIVER
 
 
-@dataclass(frozen=True)
-class AttributeDecl:
+class AttributeDecl(NamedTuple):
     name: str
     access_level: AccessLevel
     declared_type: str
 
 
-@dataclass(frozen=True)
-class MethodDecl:
-    """A method or constructor.
+# A record with collections subclasses the named tuple of its fields. Its
+# ``__new__`` takes the same arguments and keeps each collection as a tuple.
 
-    Constructors are ordinary methods whose name and return type both equal
-    the enclosing class name. ``declared_class`` always names that class.
-    """
 
+class _MethodFields(NamedTuple):
     name: str
     access_level: AccessLevel
     return_type: str
@@ -92,20 +84,27 @@ class MethodDecl:
     attribute_accesses: tuple[AttributeAccess, ...] = ()
     method_invocations: tuple[MethodInvocation, ...] = ()
 
-    def __post_init__(self) -> None:
-        _freeze(
-            self,
-            parameters=self.parameters,
-            local_variables=self.local_variables,
-            attribute_accesses=self.attribute_accesses,
-            method_invocations=self.method_invocations,
-        )
+
+class MethodDecl(_MethodFields):
+    """A method or constructor.
+
+    Constructors are ordinary methods whose name and return type both equal
+    the enclosing class name. ``declared_class`` always names that class.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name, access_level, return_type, declared_class,
+        parameters=(), local_variables=(), attribute_accesses=(), method_invocations=(),
+    ) -> MethodDecl:
+        return tuple.__new__(cls, (
+            name, access_level, return_type, declared_class,
+            tuple(parameters), tuple(local_variables), tuple(attribute_accesses), tuple(method_invocations),
+        ))
 
 
-@dataclass(frozen=True)
-class ClassDecl:
-    """A top-level class. ``superclass`` is None when no extends clause exists."""
-
+class _ClassFields(NamedTuple):
     name: str
     access_level: AccessLevel
     declared_package: str
@@ -113,26 +112,38 @@ class ClassDecl:
     attributes: tuple[AttributeDecl, ...] = ()
     methods: tuple[MethodDecl, ...] = ()
 
-    def __post_init__(self) -> None:
-        _freeze(self, attributes=self.attributes, methods=self.methods)
+
+class ClassDecl(_ClassFields):
+    """A top-level class. ``superclass`` is None when no extends clause exists."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, access_level, declared_package, superclass=None, attributes=(), methods=()) -> ClassDecl:
+        return tuple.__new__(cls, (name, access_level, declared_package, superclass, tuple(attributes), tuple(methods)))
 
 
-@dataclass(frozen=True)
-class PackageDecl:
+class _PackageFields(NamedTuple):
     name: str
     classes: tuple[ClassDecl, ...] = ()
 
-    def __post_init__(self) -> None:
-        _freeze(self, classes=self.classes)
+
+class PackageDecl(_PackageFields):
+    __slots__ = ()
+
+    def __new__(cls, name, classes=()) -> PackageDecl:
+        return tuple.__new__(cls, (name, tuple(classes)))
 
 
-@dataclass(frozen=True)
-class CodeModel:
+class _ModelFields(NamedTuple):
     project_name: str
     packages: tuple[PackageDecl, ...] = ()
 
-    def __post_init__(self) -> None:
-        _freeze(self, packages=self.packages)
+
+class CodeModel(_ModelFields):
+    __slots__ = ()
+
+    def __new__(cls, project_name, packages=()) -> CodeModel:
+        return tuple.__new__(cls, (project_name, tuple(packages)))
 
 
 def validate_model(model: CodeModel) -> list[Diagnostic]:

@@ -45,8 +45,6 @@ it as a warning and resumes at the next top-level declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic, error, warning
 from .lexer import KEYWORDS, PRIMITIVE_TYPES, Positions, Tokens, TokenKind, token_kind
 from .model import AccessLevel
@@ -118,51 +116,68 @@ class _ParseFailure(Exception):
         self.token = token
 
 
-@dataclass
-class ParamSyntax:
-    name: str
-    token: int
-    type_text: str
+class _Declaration:
+    """A declaration record, filled in as its declaration is parsed. Records
+    are equal when their types and their ``_compared`` fields are."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(getattr(self, f) == getattr(other, f) for f in self._compared)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class FieldSyntax:
-    name: str
-    token: int
-    access_level: AccessLevel
-    type_text: str
+class ParamSyntax(_Declaration):
+    __slots__ = _compared = ("name", "token", "type_text")
+
+    def __init__(self, name: str, token: int, type_text: str) -> None:
+        self.name, self.token, self.type_text = name, token, type_text
 
 
-@dataclass
-class MethodSyntax:
+class FieldSyntax(_Declaration):
+    __slots__ = _compared = ("name", "token", "access_level", "type_text")
+
+    def __init__(self, name: str, token: int, access_level: AccessLevel, type_text: str) -> None:
+        self.name, self.token, self.access_level, self.type_text = name, token, access_level, type_text
+
+
+class MethodSyntax(_Declaration):
     """A method or constructor; constructors carry the class name as return
     type. ``events`` are its body's dependency events (module docstring)."""
 
-    name: str
-    token: int
-    access_level: AccessLevel
-    return_type: str
-    parameters: list[ParamSyntax] = field(default_factory=list)
-    events: list[tuple] = field(default_factory=list)
+    __slots__ = _compared = ("name", "token", "access_level", "return_type", "parameters", "events")
+
+    def __init__(self, name: str, token: int, access_level: AccessLevel, return_type: str) -> None:
+        self.name, self.token, self.access_level, self.return_type = name, token, access_level, return_type
+        self.parameters: list[ParamSyntax] = []
+        self.events: list[tuple] = []
 
 
-@dataclass
-class ClassSyntax:
-    name: str
-    token: int
-    access_level: AccessLevel
-    superclass: str | None = None
-    fields: list[FieldSyntax] = field(default_factory=list)
-    methods: list[MethodSyntax] = field(default_factory=list)
+class ClassSyntax(_Declaration):
+    __slots__ = _compared = ("name", "token", "access_level", "superclass", "fields", "methods")
+
+    def __init__(self, name: str, token: int, access_level: AccessLevel) -> None:
+        self.name, self.token, self.access_level = name, token, access_level
+        self.superclass: str | None = None
+        self.fields: list[FieldSyntax] = []
+        self.methods: list[MethodSyntax] = []
 
 
-@dataclass
-class CompilationUnit:
-    file: str
-    positions: Positions = field(repr=False, compare=False)
-    package: str | None = None
-    imports: list[str] = field(default_factory=list)
-    classes: list[ClassSyntax] = field(default_factory=list)
+class CompilationUnit(_Declaration):
+    """One file's declarations; equality and ``repr`` leave out ``positions``."""
+
+    _compared = ("file", "package", "imports", "classes")
+    __slots__ = ("positions", *_compared)
+
+    def __init__(self, file: str, positions: Positions) -> None:
+        self.file, self.positions = file, positions
+        self.package: str | None = None
+        self.imports: list[str] = []
+        self.classes: list[ClassSyntax] = []
 
 
 def _append_type_text(buffer: str, text: str) -> str:

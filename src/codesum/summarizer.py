@@ -11,8 +11,10 @@ empty; the others always appear, in the fixed order above.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .model import ClassDecl, MethodDecl
 
@@ -34,28 +36,23 @@ class MessageKind(Enum):
     METHOD_INVOCATION = "method-invocation"
 
 
-@dataclass(frozen=True)
-class RapidSummaryMessage:
+class RapidSummaryMessage(NamedTuple):
     """One rendered fact; ``text`` is one or more sentences ending with '.'."""
 
     kind: MessageKind
     text: str
 
 
-def _default_type_display_map() -> dict[str, str]:
-    return {"String": "string", "Object": "object", "char": "character"}
-
-
-@dataclass(frozen=True)
-class RenderingConfig:
+class RenderingConfig(NamedTuple):
     """Surface-form knobs for identifier and type rendering.
 
     ``type_display_map`` rewrites type names for display (unmapped names pass
-    through verbatim). ``lowercase_constant_identifiers`` folds names written
-    in the all-uppercase constant style (length two or more) to lowercase.
+    through verbatim); the default map is read-only, so every config can
+    share it. ``lowercase_constant_identifiers`` folds names written in the
+    all-uppercase constant style (length two or more) to lowercase.
     """
 
-    type_display_map: dict[str, str] = field(default_factory=_default_type_display_map)
+    type_display_map: Mapping[str, str] = MappingProxyType({"String": "string", "Object": "object", "char": "character"})
     lowercase_constant_identifiers: bool = True
 
 

@@ -14,7 +14,6 @@ record when its element ends, and holds no element tree.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import itemgetter
 from xml.parsers import expat
 
@@ -63,8 +62,8 @@ class _Entry:
         }
         # Import passes the attributes' values, then the containers' records;
         # a record whose fields are declared in another order takes keywords.
-        fields = [field for _, field in attributes] + [field for _, field, _ in containers]
-        if fields == [field.name for field in dataclasses.fields(record)]:
+        fields = tuple(field for _, field in attributes) + tuple(field for _, field, _ in containers)
+        if fields == record._fields:
             self.build = record
         else:
             self.build = lambda *values: record(**dict(zip(fields, values)))

@@ -124,6 +124,7 @@ def test_criterion_7_randomized_models_round_trip_through_xml():
         restored, diagnostics = import_xml(text)
         assert diagnostics == [], f"model {index}: {[str(d) for d in diagnostics]}"
         assert restored == model, f"model {index} did not round-trip"
+        assert repr(restored) == repr(model), f"model {index} changed a record's type"
         assert export_xml(restored) == text, f"model {index} export is not byte-stable"
     print("criterion 7: PASS - 200 randomized models round-trip with byte-stable export")
 

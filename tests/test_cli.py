@@ -336,7 +336,7 @@ def _tree(root):
     }
 
 
-@pytest.mark.parametrize("fault", ["directory-in-the-way", "open-refused"])
+@pytest.mark.parametrize("fault", ["directory-in-the-way", "open-refused", "dangling-symlink"])
 @pytest.mark.parametrize("layout", ["combined", "per-identifier"])
 def test_a_failing_target_leaves_the_output_tree_as_it_was(layout, fault, tmp_path, monkeypatch, capsys):
     reference = tmp_path / "reference"
@@ -352,6 +352,17 @@ def test_a_failing_target_leaves_the_output_tree_as_it_was(layout, fault, tmp_pa
                 if blocked.exists():
                     blocked.unlink()
                 blocked.mkdir(parents=True)
+            elif fault == "dangling-symlink":
+                # Neither opened for writing nor created: the link names a
+                # file that does not exist, and an exclusive create refuses it.
+                code_of_error = errno.ENOENT
+                if blocked.exists():
+                    blocked.unlink()
+                blocked.parent.mkdir(parents=True, exist_ok=True)
+                try:
+                    blocked.symlink_to(tmp_path / "missing" / "target.txt")
+                except (OSError, NotImplementedError):
+                    pytest.skip("symbolic links are unavailable")
             else:
                 # Root ignores mode bits, so the refusal is injected at the
                 # preflight open of this one target.
@@ -605,10 +616,21 @@ def test_output_does_not_depend_on_the_hash_seed(case, tmp_path):
         assert b"warnings: 2" in stderr
 
 
-def test_start_up_does_not_import_element_tree():
+def _start_up_imports(prefix):
+    """What a fresh interpreter prints for the modules named ``prefix...``
+    that ``import codesum.cli`` left in ``sys.modules``."""
     source_path = Path(cli.__file__).resolve().parents[1]
+    script = f"import sys, codesum.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     completed = subprocess.run(
-        [sys.executable, "-c", "import sys, codesum.cli; print(sorted(m for m in sys.modules if m.startswith('xml.etree')))"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(source_path)}, capture_output=True, text=True,
     )
-    assert (completed.returncode, completed.stdout, completed.stderr) == (0, "[]\n", "")
+    return completed.returncode, completed.stdout, completed.stderr
+
+
+def test_start_up_does_not_import_element_tree():
+    assert _start_up_imports("xml.etree") == (0, "[]\n", "")
+
+
+def test_start_up_does_not_import_dataclasses():
+    assert _start_up_imports("dataclasses") == (0, "[]\n", "")

@@ -390,6 +390,7 @@ def test_strict_and_lenient_agree_on_clean_sources(project):
     lenient_model, lenient_diagnostics, _ = parse_project(FIXTURES / project, strict=False)
     assert not strict_diagnostics and not lenient_diagnostics
     assert strict_model == lenient_model
+    assert repr(strict_model) == repr(lenient_model)
 
 
 def test_discovery_is_sorted_and_extension_filtered(tmp_path):

@@ -1,7 +1,5 @@
 """Model construction, lookup, and validation invariants."""
 
-from dataclasses import FrozenInstanceError
-
 import pytest
 
 from codesum.diagnostics import Severity
@@ -58,12 +56,28 @@ def test_collection_fields_are_coerced_to_tuples():
 
 
 def test_nodes_are_immutable():
-    method = _method()
-    with pytest.raises(FrozenInstanceError):
-        method.name = "other"
-    cls = _class()
-    with pytest.raises(FrozenInstanceError):
-        cls.superclass = "B"
+    records = [
+        ParameterDecl("a", "int"),
+        LocalVariableDecl("v", "char"),
+        AttributeAccess("x"),
+        MethodInvocation("f"),
+        AttributeDecl("x", AccessLevel.PRIVATE, "int"),
+        _method(),
+        _class(),
+        PackageDecl("p"),
+        _model(),
+    ]
+    for record in records:
+        for name in record._fields:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, "other")
+            assert getattr(record, name) is value
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = "other"
+        assert not hasattr(record, "extra")
 
 
 def test_structural_equality_ignores_input_container_kind():

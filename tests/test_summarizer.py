@@ -90,6 +90,14 @@ def test_render_type_maps_only_exact_names():
     assert render_type("String[]", CONFIG) == "String[]"
 
 
+def test_configs_share_no_mutable_default_type_display_map():
+    first, second = RenderingConfig(), RenderingConfig()
+    assert first.type_display_map == {"String": "string", "Object": "object", "char": "character"}
+    with pytest.raises(TypeError):
+        first.type_display_map["Graphics"] = "graphics"
+    assert render_type("Graphics", second) == "Graphics"
+
+
 def test_render_type_honors_a_custom_map():
     config = RenderingConfig(type_display_map={"Graphics": "graphics"})
     assert render_type("Graphics", config) == "graphics"

@@ -107,6 +107,7 @@ def test_attribute_values_are_escaped_and_restored():
     restored, diagnostics = import_xml(text)
     assert diagnostics == []
     assert restored == model
+    assert repr(restored) == repr(model)
 
 
 def test_fixture_models_round_trip(corpus_models):
@@ -114,6 +115,7 @@ def test_fixture_models_round_trip(corpus_models):
         restored, diagnostics = import_xml(export_xml(model))
         assert diagnostics == []
         assert restored == model
+        assert repr(restored) == repr(model)
 
 
 def test_randomized_models_round_trip():
@@ -124,6 +126,7 @@ def test_randomized_models_round_trip():
         restored, diagnostics = import_xml(text)
         assert diagnostics == [], [str(d) for d in diagnostics]
         assert restored == model
+        assert repr(restored) == repr(model)
         assert export_xml(restored) == text
 
 
