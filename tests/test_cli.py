@@ -70,6 +70,21 @@ def test_project_name_override_lands_in_the_model_document(tmp_path, capsys):
     assert 'ProjectName="renamed"' in (out / "model.xml").read_text(encoding="utf-8")
 
 
+def test_summarize_output_does_not_depend_on_the_project_name(tmp_path, capsys):
+    extracted = tmp_path / "extracted"
+    assert cli.main(["--in", DRAWING, "--out", str(extracted), "--stage", "extract"]) == 0
+    capsys.readouterr()
+    runs = []
+    for name, extra in (("plain", []), ("renamed", ["--project", "Other"])):
+        out = tmp_path / name
+        argv = ["--xml", str(extracted / "model.xml"), "--out", str(out), "--stage", "summarize", *extra]
+        code, stdout, stderr = _run(argv, capsys)
+        runs.append((code, stdout, stderr, _tree_bytes(out)))
+    assert runs[0][0] == 0
+    assert runs[0][3]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -126,6 +141,29 @@ def test_lenient_mode_warns_and_keeps_going(tmp_path, capsys):
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "== class p.Good ==" in summary
     assert "Bad" not in summary
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_unlexable_and_unreadable_files_in_a_project(mode, tmp_path, capsys):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "A.java").write_text("class A { int x; }", encoding="utf-8")
+    (source / "B.java").write_text("class B { int y; # }", encoding="utf-8")
+    (source / "C.java").write_bytes(b"class C \xff\xfe {}")
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(["--in", str(source), "--out", str(out), "--stage", "extract", "--mode", mode], capsys)
+    severity, counts = ("error", "classes: 1, methods: 0, warnings: 0") if mode == "strict" else (
+        "warning", "classes: 2, methods: 0, warnings: 1"
+    )
+    assert stderr.splitlines() == [
+        f"{(source / 'B.java').as_posix()}:1:18: {severity}: illegal character '#'",
+        f"{(source / 'C.java').as_posix()}: error: cannot read source file: "
+        "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+        f"packages: 1, {counts}",
+        "summary/source length ratio: n/a",
+    ]
+    assert (code, stdout) == (1, "")
+    assert not out.exists()
 
 
 def test_duplicate_class_across_files_is_an_error(tmp_path, capsys):

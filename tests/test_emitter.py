@@ -87,6 +87,13 @@ def test_a_plan_for_the_working_directory_stays_relative(drawing_shapes_model, t
     assert (tmp_path / "bare.txt").read_text(encoding="utf-8") == "bare\n"
 
 
+def test_unknown_layout_is_rejected(drawing_shapes_model, tmp_path):
+    summaries = summarize_project(drawing_shapes_model, CONFIG)
+    with pytest.raises(ValueError) as raised:
+        plan_emission(summaries, "other", tmp_path)
+    assert str(raised.value) == "unknown layout 'other'"
+
+
 def test_per_identifier_layout_files(drawing_shapes_model, tmp_path):
     summaries = summarize_project(drawing_shapes_model, CONFIG)
     paths = write_plan(plan_emission(summaries, PER_IDENTIFIER, tmp_path))

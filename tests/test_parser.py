@@ -101,10 +101,11 @@ def test_parameter_dims_before_and_after_name():
 
 
 def test_generic_type_text_is_canonicalized():
-    unit = _clean("class A { Map<String,Integer> m; List<List<int[]>> n; }")
+    unit = _clean("class A { Map<String,Integer> m; List<List<int[]>> n; List<? extends Number> w; }")
     fields = unit.classes[0].fields
     assert fields[0].type_text == "Map<String, Integer>"
     assert fields[1].type_text == "List<List<int[]>>"
+    assert fields[2].type_text == "List<? extends Number>"
 
 
 def test_throws_clause_and_bodiless_method():
@@ -127,6 +128,11 @@ def test_statement_shapes():
                 for (String s : parts()) { use(s); }
                 for (int row[] : rows()) { use(row); }
                 for (int a[] = null, b = 0; ; ) { }
+                final int f = 1;
+                String[] names = parts();
+                for (final int q = 0; ; ) { }
+                for (final String t : parts()) { }
+                for (i = 0, n = 1; ; i++, n--) { }
                 return;
                 throw failure(i);
                 break;
@@ -147,6 +153,12 @@ def test_statement_shapes():
         ("call", "use", None),
         ("local", "a", "int[]"),
         ("local", "b", "int"),
+        ("local", "f", "int"),
+        ("call", "parts", None),
+        ("local", "names", "String[]"),
+        ("local", "q", "int"),
+        ("call", "parts", None),
+        ("local", "t", "String"),
         ("call", "failure", None),
     ]
 
@@ -162,6 +174,8 @@ def test_expression_shapes():
                 int[] lit = {1, 2};
                 Object k = String.class;
                 arr[0] = -x;
+                int[] made = new int[] {1, 2};
+                x < y >> z;
             }
         }
         """
@@ -173,6 +187,7 @@ def test_expression_shapes():
         ("local", "lit", "int[]"),
         ("name", "String"),
         ("local", "k", "Object"),
+        ("local", "made", "int[]"),
     ]
 
 
@@ -210,6 +225,9 @@ def test_call_shapes():
         ("class A { static { } void m() {} }", "initializer block"),
         ("class A<T> { void m() {} }", "generic type parameters"),
         ("class A { void m() { Runnable r = new Runnable() { }; } }", "anonymous class"),
+        ('@java.lang.Deprecated(since = "1") public class A {}', "annotation"),
+        ("enum E; class A {}", "enum"),
+        ("class A {} @Trailing", "annotation"),
     ],
 )
 def test_unsupported_constructs_warn_and_are_skipped(source, phrase):
@@ -387,6 +405,7 @@ def test_nesting_limit_is_exact_and_restored_after_recovery():
         ("class A { void m() { a instanceof", "1:24: {}: expected type after 'instanceof', found end of file"),
         ("class A { void m() { foo.", "1:25: {}: expected identifier after '.', found end of file"),
         ("class A { List<String", "1:16: {}: expected '>' closing generic arguments, found end of file"),
+        ("class A { void m() { int[] a = {1, ", "1:34: {}: unexpected end of file in array initializer, found end of file"),
     ],
 )
 def test_lookahead_past_the_end_of_file(source, message):
@@ -397,6 +416,30 @@ def test_lookahead_past_the_end_of_file(source, message):
     assert unit.classes == []
     suffix = " (skipping to next top-level declaration)"
     assert [str(d) for d in diagnostics] == ["Test.java:" + message.format("warning") + suffix]
+
+
+def test_unclosed_skipped_declaration_at_the_end_of_file():
+    source = "class A {} interface I"
+    skipped = "Test.java:1:12: warning: unsupported construct: interface declaration (skipped)"
+    unit, diagnostics = _parse(source, strict=True)
+    assert unit is None
+    assert [str(d) for d in diagnostics] == [
+        skipped, "Test.java:1:22: error: unexpected end of file in skipped declaration, found end of file"
+    ]
+    unit, diagnostics = _parse(source, strict=False)
+    assert [cls.name for cls in unit.classes] == ["A"]
+    assert [str(d) for d in diagnostics] == [
+        skipped,
+        "Test.java:1:22: warning: unexpected end of file in skipped declaration, found end of file"
+        " (skipping to next top-level declaration)",
+    ]
+
+
+def test_final_without_a_declaration_in_a_body():
+    # The problem is reported at 'final' itself, not at the token after it.
+    unit, diagnostics = _parse("class A { void m() { final x; } }")
+    assert unit is None
+    assert [str(d) for d in diagnostics] == ["Test.java:1:22: error: expected declaration after 'final', found 'final'"]
 
 
 @pytest.mark.parametrize("strict", [True, False])
