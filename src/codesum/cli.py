@@ -146,8 +146,6 @@ def _run(config: RunConfig) -> int:
         else:
             model, import_diagnostics = import_xml(text)
             diagnostics.extend(import_diagnostics)
-            if config.project_name is not None:
-                model = CodeModel(project_name=config.project_name, packages=model.packages)
 
     summaries: tuple[SummaryDocument, ...] | None = None
     if model is not None and not has_errors(diagnostics):

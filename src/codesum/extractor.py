@@ -34,7 +34,6 @@ from .model import (
     MethodDecl,
     MethodInvocation,
     PackageDecl,
-    ParameterDecl,
     validate_model,
 )
 from .parser import ClassSyntax, CompilationUnit, MethodSyntax, parse_compilation_unit
@@ -64,15 +63,15 @@ def build_model(
     diagnostics: list[Diagnostic] = []
     model_class_names = {cls.name for unit in units for cls in unit.classes}
 
-    package_classes: dict[str, list[ClassDecl]] = {}
-    seen_classes: set[tuple[str, str]] = set()
+    # Each package's classes by name; a package enters with its first class.
+    packages: dict[str, dict[str, ClassDecl]] = {}
 
     for unit in units:
         package_name = unit.package if unit.package is not None else DEFAULT_PACKAGE
         known_types = model_class_names | _import_simple_names(unit.imports)
         for cls in unit.classes:
-            key = (package_name, cls.name)
-            if key in seen_classes:
+            classes = packages.setdefault(package_name, {})
+            if cls.name in classes:
                 diagnostics.append(
                     error(
                         f"duplicate class {cls.name!r} in package {package_name!r} (dropped)",
@@ -81,11 +80,9 @@ def build_model(
                     )
                 )
                 continue
-            seen_classes.add(key)
-            declared = _build_class(cls, package_name, known_types, unit, diagnostics)
-            package_classes.setdefault(package_name, []).append(declared)
+            classes[cls.name] = _build_class(cls, package_name, known_types, unit, diagnostics)
 
-    model = CodeModel(project_name, [PackageDecl(name, classes) for name, classes in package_classes.items()])
+    model = CodeModel(project_name, [PackageDecl(name, classes.values()) for name, classes in packages.items()])
     diagnostics.extend(validate_model(model))
     return model, diagnostics
 
@@ -99,18 +96,18 @@ def _build_class(
 ) -> ClassDecl:
     attributes: list[AttributeDecl] = []
     field_types: dict[str, str] = {}
-    for field_syntax in cls.fields:
-        if field_syntax.name in field_types:
+    for token, attribute in cls.fields:
+        if attribute.name in field_types:
             diagnostics.append(
                 error(
-                    f"duplicate field {field_syntax.name!r} in class {cls.name!r} (dropped)",
+                    f"duplicate field {attribute.name!r} in class {cls.name!r} (dropped)",
                     unit.file,
-                    *unit.positions.position(field_syntax.token),
+                    *unit.positions.position(token),
                 )
             )
             continue
-        field_types[field_syntax.name] = field_syntax.type_text
-        attributes.append(AttributeDecl(field_syntax.name, field_syntax.access_level, field_syntax.type_text))
+        field_types[attribute.name] = attribute.declared_type
+        attributes.append(attribute)
 
     methods = [_build_method(method, cls, field_types, known_types) for method in cls.methods]
 
@@ -122,8 +119,7 @@ def _build_method(
 ) -> MethodDecl:
     """Resolve the method's events against its locals, parameters and
     fields; a local shadows a parameter, which shadows a field."""
-    parameters = [ParameterDecl(param.name, param.type_text) for param in method.parameters]
-    variables = {**field_types, **{param.name: param.type_text for param in method.parameters}}
+    variables = {**field_types, **dict(method.parameters)}
     local_variables = []
     accesses: dict[str, AttributeAccess] = {}
     invocations = []
@@ -160,7 +156,7 @@ def _build_method(
             accesses[name] = AttributeAccess(name, resolved)
     return MethodDecl(
         method.name, method.access_level, method.return_type, cls.name,
-        parameters, local_variables, accesses.values(), invocations,
+        method.parameters, local_variables, accesses.values(), invocations,
     )
 
 

@@ -5,9 +5,12 @@ single extends clause, fields, methods, and constructors with statement
 bodies. Interfaces, enums, annotations, nested classes, lambdas, and
 initializer blocks are outside the subset and are skipped with a warning.
 
-A unit keeps declarations only. A method body becomes a flat list of
-dependency events, appended as the body is parsed (syntax-directed
-translation); ``build_model`` resolves them. Each event is a plain tuple:
+A unit keeps declarations only. Parameters and fields are the model's own
+``ParameterDecl`` and ``AttributeDecl`` records, which ``build_model`` keeps
+as they are; each field comes paired with its name's token index, for the
+duplicate-field error. A method body becomes a flat list of dependency
+events, appended as the body is parsed (syntax-directed translation);
+``build_model`` resolves them. Each event is a plain tuple:
 
 * ``("local", name, type)``: a local variable enters scope, after its own
   initializer; a for-each variable after its iterable;
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import KEYWORDS, PRIMITIVE_TYPES, Positions, Tokens, TokenKind, token_kind
-from .model import AccessLevel
+from .model import AccessLevel, AttributeDecl, ParameterDecl
 
 _ACCESS_KEYWORDS = {
     "public": AccessLevel.PUBLIC,
@@ -131,20 +134,6 @@ class _Declaration:
         return f"{type(self).__name__}({fields})"
 
 
-class ParamSyntax(_Declaration):
-    __slots__ = _compared = ("name", "token", "type_text")
-
-    def __init__(self, name: str, token: int, type_text: str) -> None:
-        self.name, self.token, self.type_text = name, token, type_text
-
-
-class FieldSyntax(_Declaration):
-    __slots__ = _compared = ("name", "token", "access_level", "type_text")
-
-    def __init__(self, name: str, token: int, access_level: AccessLevel, type_text: str) -> None:
-        self.name, self.token, self.access_level, self.type_text = name, token, access_level, type_text
-
-
 class MethodSyntax(_Declaration):
     """A method or constructor; constructors carry the class name as return
     type. ``events`` are its body's dependency events (module docstring)."""
@@ -153,7 +142,7 @@ class MethodSyntax(_Declaration):
 
     def __init__(self, name: str, token: int, access_level: AccessLevel, return_type: str) -> None:
         self.name, self.token, self.access_level, self.return_type = name, token, access_level, return_type
-        self.parameters: list[ParamSyntax] = []
+        self.parameters: list[ParameterDecl] = []
         self.events: list[tuple] = []
 
 
@@ -163,7 +152,8 @@ class ClassSyntax(_Declaration):
     def __init__(self, name: str, token: int, access_level: AccessLevel) -> None:
         self.name, self.token, self.access_level = name, token, access_level
         self.superclass: str | None = None
-        self.fields: list[FieldSyntax] = []
+        # Each field with its name's token index.
+        self.fields: list[tuple[int, AttributeDecl]] = []
         self.methods: list[MethodSyntax] = []
 
 
@@ -494,7 +484,7 @@ class _Parser:
         # Nothing reads a field initializer's events.
         self.events = []
         for token, declared_type in self._parse_declarators(type_text, name, "field declaration"):
-            cls.fields.append(FieldSyntax(self.texts[token], token, access, declared_type))
+            cls.fields.append((token, AttributeDecl(self.texts[token], access, declared_type)))
         self._expect_text(";", "after field declaration")
 
     def _parse_method(self, name: int, access: AccessLevel, return_type: str) -> MethodSyntax:
@@ -505,7 +495,7 @@ class _Parser:
                 self._match("final")
                 param_type = self._parse_type("for parameter")
                 param_name = self._expect_identifier("for parameter name")
-                method.parameters.append(ParamSyntax(self.texts[param_name], param_name, param_type + self._parse_dims()))
+                method.parameters.append(ParameterDecl(self.texts[param_name], param_type + self._parse_dims()))
                 if not self._match(","):
                     break
         self._expect_text(")", "to close parameter list")

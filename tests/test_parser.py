@@ -85,8 +85,8 @@ def test_constructor_is_detected_by_name_and_call_shape():
 
 def test_field_declarations_with_multiple_declarators_and_dims():
     unit = _clean("class A { private int x, y = 2, z[]; }")
-    fields = unit.classes[0].fields
-    assert [(f.name, f.type_text) for f in fields] == [("x", "int"), ("y", "int"), ("z", "int[]")]
+    fields = [field for _, field in unit.classes[0].fields]
+    assert [(f.name, f.declared_type) for f in fields] == [("x", "int"), ("y", "int"), ("z", "int[]")]
     assert all(f.access_level is AccessLevel.PRIVATE for f in fields)
     # An initializer is still parsed and checked, though nothing reads it.
     unit, diagnostics = _parse("class A { int y = 2 +; }")
@@ -97,15 +97,15 @@ def test_field_declarations_with_multiple_declarators_and_dims():
 def test_parameter_dims_before_and_after_name():
     unit = _clean("class A { void m(final int[] a, String b[]) {} }")
     params = unit.classes[0].methods[0].parameters
-    assert [(p.name, p.type_text) for p in params] == [("a", "int[]"), ("b", "String[]")]
+    assert [(p.name, p.declared_type) for p in params] == [("a", "int[]"), ("b", "String[]")]
 
 
 def test_generic_type_text_is_canonicalized():
     unit = _clean("class A { Map<String,Integer> m; List<List<int[]>> n; List<? extends Number> w; }")
-    fields = unit.classes[0].fields
-    assert fields[0].type_text == "Map<String, Integer>"
-    assert fields[1].type_text == "List<List<int[]>>"
-    assert fields[2].type_text == "List<? extends Number>"
+    fields = [field for _, field in unit.classes[0].fields]
+    assert fields[0].declared_type == "Map<String, Integer>"
+    assert fields[1].declared_type == "List<List<int[]>>"
+    assert fields[2].declared_type == "List<? extends Number>"
 
 
 def test_throws_clause_and_bodiless_method():
