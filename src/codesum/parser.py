@@ -152,7 +152,7 @@ class ClassSyntax(_Declaration):
     def __init__(self, name: str, token: int, access_level: AccessLevel) -> None:
         self.name, self.token, self.access_level = name, token, access_level
         self.superclass: str | None = None
-        # Each field with its name's token index.
+        # The model's own records, which build_model keeps; each with its name's token index.
         self.fields: list[tuple[int, AttributeDecl]] = []
         self.methods: list[MethodSyntax] = []
 
