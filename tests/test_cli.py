@@ -143,8 +143,14 @@ def test_lenient_mode_warns_and_keeps_going(tmp_path, capsys):
     assert "Bad" not in summary
 
 
-@pytest.mark.parametrize("mode", ["strict", "lenient"])
-def test_unlexable_and_unreadable_files_in_a_project(mode, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "mode, severity, counts",
+    [
+        ("strict", "error", "classes: 1, methods: 0, warnings: 0"),
+        ("lenient", "warning", "classes: 2, methods: 0, warnings: 1"),
+    ],
+)
+def test_unlexable_and_unreadable_files_in_a_project(mode, severity, counts, tmp_path, capsys):
     source = tmp_path / "src"
     source.mkdir()
     (source / "A.java").write_text("class A { int x; }", encoding="utf-8")
@@ -152,9 +158,6 @@ def test_unlexable_and_unreadable_files_in_a_project(mode, tmp_path, capsys):
     (source / "C.java").write_bytes(b"class C \xff\xfe {}")
     out = tmp_path / "out"
     code, stdout, stderr = _run(["--in", str(source), "--out", str(out), "--stage", "extract", "--mode", mode], capsys)
-    severity, counts = ("error", "classes: 1, methods: 0, warnings: 0") if mode == "strict" else (
-        "warning", "classes: 2, methods: 0, warnings: 1"
-    )
     assert stderr.splitlines() == [
         f"{(source / 'B.java').as_posix()}:1:18: {severity}: illegal character '#'",
         f"{(source / 'C.java').as_posix()}: error: cannot read source file: "
