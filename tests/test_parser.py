@@ -395,6 +395,36 @@ def test_nesting_limit_is_exact_and_restored_after_recovery():
     assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
 
 
+# Ten binary operators, each binding tighter than the one before: ten levels.
+_RISING_CHAIN = "a || b && c | d ^ e & f == g < h << i + j * k"
+
+
+def _in_method(statement: str) -> str:
+    return f"class A {{ void m() {{ {statement}; }} }}"
+
+
+def test_binary_operators_binding_tighter_count_one_level_each():
+    # The statement and its initializer take two levels, each parenthesis one more.
+    assert _parse(_in_method("int v = " + "(" * 88 + _RISING_CHAIN + ")" * 88))[1] == []
+    unit, diagnostics = _parse(_in_method("int v = " + "(" * 89 + _RISING_CHAIN + ")" * 89))
+    assert unit is None
+    assert [str(d) for d in diagnostics] == ["Test.java:1:163: error: nesting too deep"]
+    # A looser operator releases the levels of the tighter ones before it.
+    products = " + ".join(["a * b"] * 50)
+    assert _parse(_in_method("int v = " + "(" * 87 + products + ")" * 87))[1] == []
+    # Neither an assigned value nor the false branch of ``?:`` adds a level.
+    assert _parse(_in_method("x = y ? z : " + "(" * 88 + _RISING_CHAIN + ")" * 88))[1] == []
+
+
+def test_operator_levels_open_at_a_failure_are_released():
+    broken = _in_method("int v = " + _RISING_CHAIN.removesuffix("k"))
+    unit, diagnostics = _parse(broken + " " + _nested_parentheses("C", _MAX_NESTING - 2), strict=False)
+    assert [cls.name for cls in unit.classes] == ["C"]
+    assert [str(d) for d in diagnostics] == [
+        "Test.java:1:74: warning: expected expression, found ';' (skipping to next top-level declaration)"
+    ]
+
+
 @pytest.mark.parametrize(
     "source, message",
     [
