@@ -26,14 +26,14 @@ it are dropped. ``token`` is the index of the name's token. Events come in
 source order. A field initializer is parsed and checked like any expression,
 but its events are dropped.
 
-Expressions are parsed by precedence climbing over ``_BINARY_PRECEDENCE``:
-one loop per operand, recursing only for a tighter-binding right operand.
-Chains are read in loops, so their length costs no stack: prefix operators
-and casts, postfix selections and calls, assignments, the false branches of
-``?:`` and ``else if`` arms. Every construct that nests (statements within
-statements, expressions within expressions, binary right operands, array
-initializers) counts towards ``_MAX_NESTING``; input nested deeper is a syntax
-problem, so no input can exhaust the interpreter's stack.
+An expression is read by one loop, which keeps its binary operators on an
+explicit stack (shunting-yard over ``_BINARY_PRECEDENCE``). Chains are read in
+loops, so their length costs no stack: prefix operators and casts, postfix
+selections and calls, binary operators, assignments, the false branches of
+``?:`` and ``else if`` arms. Each statement, expression and array initializer
+counts one level towards ``_MAX_NESTING``, and so does each operator on the
+stack; input nested deeper is a syntax problem, so no input can exhaust the
+interpreter's stack. A failure resets the count.
 
 Tokens are read by index from the file's ``Tokens.texts``. For the length
 of a parse that list runs two entries past the last token, as ``""``, so any
@@ -100,9 +100,8 @@ _CAST_TYPE_STOPS = frozenset([";", "{", "}"])
 # Deepest nesting the parser accepts (see the module docstring). It sits well
 # above hand-written code and the generated benchmark sources (50 nested
 # parentheses), and low enough that the deepest accepted input uses about
-# 600 interpreter frames: at most six per level, for a constructor argument.
+# 300 interpreter frames: at most three per level, for a constructor argument.
 _MAX_NESTING = 100
-_INSTANCEOF_PRECEDENCE = _BINARY_PRECEDENCE["instanceof"]
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 
@@ -187,8 +186,6 @@ class _Parser:
         self.strict = strict
         self.pos = 0
         self.depth = 0
-        # Token index just past the type operand of the latest ``instanceof``.
-        self.type_operand_end = -1
         # Where events go: the body's list while a method body is parsed.
         self.events: list[tuple] = []
         self.diagnostics: list[Diagnostic] = []
@@ -308,6 +305,7 @@ class _Parser:
 
     def _handle_failure(self, failure: _ParseFailure) -> bool:
         """Record a syntax problem; True means parsing may continue."""
+        self.depth = 0  # an expression releases no level as a failure unwinds it
         if self.strict:
             self.diagnostics.append(self._diagnostic(error, failure.message, failure.token))
         else:
@@ -717,57 +715,120 @@ class _Parser:
     # ``super`` or ``new T(...)``, in any number of parentheses.
 
     def _parse_expression(self) -> str:
-        """Assignments to conditional expressions, both read in one loop.
-
-        A false branch of ``?:`` takes no assignment, so ``a ? b : c = d``
-        assigns to the whole conditional.
-        """
-        with self:
-            receiver = self._parse_binary(1)
-            while True:
-                while self._match("?"):
-                    self._parse_expression()
-                    self._expect_text(":", "in conditional expression")
-                    self._parse_binary(1)
-                    receiver = ""
-                if self.texts[self.pos] not in _ASSIGN_OPERATORS:
-                    return receiver
+        """A whole expression, read in one loop (module docstring): each pass
+        reads one operand, prefixes and postfixes included, and the operator
+        after it. ``pending`` holds one entry per nesting level: 0 for the
+        expression's own, then each open binary operator's precedence; an
+        operator first pops every entry binding at least as tightly, as all
+        are left-associative. A false branch of ``?:`` takes no assignment:
+        ``a ? b : c = d`` assigns to the whole conditional."""
+        texts = self.texts
+        # One level, as ``__enter__`` counts it; a failure leaves it counted.
+        if self.depth == _MAX_NESTING:
+            raise _ParseFailure("nesting too deep", self._failure_token())
+        self.depth += 1
+        pending = [0]
+        # False once anything but one unprefixed operand has been read.
+        plain = True
+        while True:
+            text = texts[self.pos]
+            while text in _PREFIX_OPERATORS or (text == "(" and self._looks_like_cast()):
                 self.pos += 1
-                self._parse_binary(1)
+                plain = False
+                if text == "(":
+                    self._parse_type("in cast")
+                    self._expect_text(")", "after cast type")
+                text = texts[self.pos]
+            # The primary and its postfix selections, calls, indexes and ``++``/``--``.
+            start = self.pos
+            kind = token_kind(text)
+            if kind is _IDENTIFIER or text == "this" or text == "super":
+                self.pos += 1
+                receiver = text
+            elif kind is TokenKind.LITERAL or text in _LITERAL_KEYWORDS:
+                self.pos += 1
+                receiver = ""
+            elif text == "new":
+                receiver = self._parse_creator()
+            elif text in PRIMITIVE_TYPES or text == "void":
+                self.pos += 1
+                self._expect_text(".", "after primitive type in expression")
+                self._expect_text("class", "after '.'")
+                receiver = ""
+            elif text == "(":
+                self.pos += 1
+                receiver = self._parse_expression()
+                self._expect_text(")", "after parenthesized expression")
+            else:
+                raise self._fail("expected expression")
+            # Only the first postfix finds the operand still one token: a
+            # simple name, ``this`` or ``super`` that no parentheses enclose.
+            while True:
+                text = texts[self.pos]
+                if text == ".":
+                    one_token = self.pos == start + 1
+                    if one_token and kind is _IDENTIFIER:
+                        self.events.append(("name", start, receiver))
+                    if texts[self.pos + 1] == "class":
+                        self.pos += 2
+                    else:
+                        self.pos += 1
+                        name = self._expect_identifier("after '.'")
+                        if texts[self.pos] == "(":
+                            self.events.append(("call", name, texts[name], receiver))
+                            self._parse_arguments()
+                        else:
+                            self.events.append(("field", name, texts[name], one_token and receiver == "this"))
+                elif text == "(":
+                    if self.pos != start + 1 or not receiver:
+                        raise self._fail("expression is not callable")
+                    if kind is _IDENTIFIER:
+                        self.events.append(("call", start, receiver, None))
+                    # Otherwise ``this(...)`` or ``super(...)``: a constructor
+                    # delegation, which calls no method.
+                    self._parse_arguments()
+                elif text == "[":
+                    self.pos += 1
+                    self._parse_expression()
+                    self._expect_text("]", "after array index")
+                elif text in ("++", "--"):
+                    self.pos += 1
+                else:
+                    break
                 receiver = ""
 
-    def _parse_binary(self, min_precedence: int) -> str:
-        """Precedence climbing over operators binding at least ``min_precedence``."""
-        receiver = self._parse_unary()
-        while True:
-            operator = self.texts[self.pos]
-            precedence = _BINARY_PRECEDENCE.get(operator, 0)
-            if precedence < min_precedence:
-                return receiver
-            if precedence > _INSTANCEOF_PRECEDENCE and self.pos == self.type_operand_end:
-                return receiver
-            self.pos += 1
-            receiver = ""
-            if operator == "instanceof":
+            operator = texts[self.pos]
+            while operator in _BINARY_PRECEDENCE:
+                precedence = _BINARY_PRECEDENCE[operator]
+                self.pos += 1
+                plain = False
+                while pending[-1] >= precedence:
+                    pending.pop()
+                    self.depth -= 1
+                if operator != "instanceof":
+                    if self.depth == _MAX_NESTING:
+                        raise _ParseFailure("nesting too deep", self._failure_token())
+                    self.depth += 1
+                    pending.append(precedence)
+                    break  # to its right operand
                 self._parse_type("after 'instanceof'")
-                self.type_operand_end = self.pos
-                continue
-            with self:
-                self._parse_binary(precedence + 1)
-
-    def _parse_unary(self) -> str:
-        """Prefix operators and casts, read in a loop, then their operand."""
-        start = self.pos
-        operator = self.texts[start]
-        while operator in _PREFIX_OPERATORS or (operator == "(" and self._looks_like_cast()):
-            self.pos += 1
-            if operator == "(":
-                self._parse_type("in cast")
-                self._expect_text(")", "after cast type")
-            operator = self.texts[self.pos]
-        prefixed = self.pos != start
-        receiver = self._parse_operand()
-        return "" if prefixed else receiver
+                operator = texts[self.pos]
+                if _BINARY_PRECEDENCE.get(operator, 0) > precedence:
+                    operator = ""  # a type operand takes no tighter operator
+            else:
+                # The binary expression ends: release its operator levels.
+                if pending[-1]:
+                    self.depth -= len(pending) - 1
+                    del pending[1:]
+                text = texts[self.pos]
+                if text != "?" and text not in _ASSIGN_OPERATORS:
+                    self.depth -= 1
+                    return receiver if plain else ""
+                self.pos += 1
+                plain = False
+                if text == "?":
+                    self._parse_expression()
+                    self._expect_text(":", "in conditional expression")
 
     def _looks_like_cast(self) -> bool:
         scanned = self._scan_type(self.pos + 1, _CAST_TYPE_STOPS)
@@ -781,67 +842,6 @@ class _Parser:
             return True
         kind = token_kind(operand)
         return kind is _IDENTIFIER or kind is TokenKind.LITERAL
-
-    def _parse_operand(self) -> str:
-        """A primary and its postfix selections, calls, indexes and ``++``/``--``."""
-        texts = self.texts
-        start = self.pos
-        text = texts[start]
-        kind = token_kind(text)
-        if kind is _IDENTIFIER or text == "this" or text == "super":
-            self.pos += 1
-            receiver = text
-        elif kind is TokenKind.LITERAL or text in _LITERAL_KEYWORDS:
-            self.pos += 1
-            receiver = ""
-        elif text == "new":
-            receiver = self._parse_creator()
-        elif text in PRIMITIVE_TYPES or text == "void":
-            self.pos += 1
-            self._expect_text(".", "after primitive type in expression")
-            self._expect_text("class", "after '.'")
-            receiver = ""
-        elif text == "(":
-            self.pos += 1
-            receiver = self._parse_expression()
-            self._expect_text(")", "after parenthesized expression")
-        else:
-            raise self._fail("expected expression")
-        # Only the first postfix finds the operand still one token: a simple
-        # name, ``this`` or ``super`` that no parentheses enclose.
-        while True:
-            text = texts[self.pos]
-            if text == ".":
-                one_token = self.pos == start + 1
-                if one_token and kind is _IDENTIFIER:
-                    self.events.append(("name", start, receiver))
-                if texts[self.pos + 1] == "class":
-                    self.pos += 2
-                else:
-                    self.pos += 1
-                    name = self._expect_identifier("after '.'")
-                    if texts[self.pos] == "(":
-                        self.events.append(("call", name, texts[name], receiver))
-                        self._parse_arguments()
-                    else:
-                        self.events.append(("field", name, texts[name], one_token and receiver == "this"))
-            elif text == "(":
-                if self.pos != start + 1 or not receiver:
-                    raise self._fail("expression is not callable")
-                if kind is _IDENTIFIER:
-                    self.events.append(("call", start, receiver, None))
-                # Otherwise ``this(...)`` or ``super(...)``: a constructor
-                # delegation, which calls no method.
-                self._parse_arguments()
-            elif text == "[":
-                self.pos += 1
-                self._parse_expression()
-                self._expect_text("]", "after array index")
-            elif text in ("++", "--"):
-                self.pos += 1
-            else:
-                return receiver
-            receiver = ""
 
     def _parse_creator(self) -> str:
         """``new T(...)``, whose receiver is ``"new T"``, or an array creation."""

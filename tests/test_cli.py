@@ -13,6 +13,8 @@ import pytest
 
 from codesum import cli
 from codesum.emitter import plan_emission, summarize_project
+from codesum.lexer import tokenize
+from codesum.parser import parse_compilation_unit
 from codesum.summarizer import RenderingConfig
 
 from conftest import FIXTURES
@@ -448,14 +450,17 @@ def test_a_full_disk_while_writing_is_reported_against_its_path(layout, drawing_
         assert not out.exists()
 
 
+def _probe_source(statement):
+    return (
+        f"package probe;\n\npublic class Probe {{\n    int x;\n    int[] a;\n    String s;\n\n"
+        f"    void m() {{\n        {statement}\n    }}\n}}\n"
+    )
+
+
 def _probe_project(root, statement):
     source = root / "src"
     source.mkdir()
-    (source / "Probe.java").write_text(
-        f"package probe;\n\npublic class Probe {{\n    int x;\n    int[] a;\n    String s;\n\n"
-        f"    void m() {{\n        {statement}\n    }}\n}}\n",
-        encoding="utf-8",
-    )
+    (source / "Probe.java").write_text(_probe_source(statement), encoding="utf-8")
     return source
 
 
@@ -486,6 +491,28 @@ def test_deep_nesting_is_a_diagnostic_not_a_crash(shape, mode, tmp_path, capsys)
         assert not out.exists()
     else:
         assert code == 0
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deepest_accepted_nesting_needs_at_most_400_frames(shape):
+    # With the statement and its expression, 98 levels inside the statement
+    # reach the nesting limit for parentheses, calls and indexes.
+    tokens, _ = tokenize(_probe_source(DEEP_SHAPES[shape](98)), "Probe.java", True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 400)
+    try:
+        unit, diagnostics = parse_compilation_unit(tokens, "Probe.java")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert diagnostics == []
+    assert [method.name for method in unit.classes[0].methods] == ["m"]
 
 
 # Chains are read in loops, not nested, so their length is not limited.
