@@ -503,7 +503,7 @@ def _frame_depth():
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_deepest_accepted_nesting_needs_at_most_400_frames(shape):
     # With the statement and its expression, 98 levels inside the statement
-    # reach the nesting limit for parentheses, calls and indexes.
+    # reach the nesting limit for each expression shape.
     tokens, _ = tokenize(_probe_source(DEEP_SHAPES[shape](98)), "Probe.java", True)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 400)
