@@ -36,7 +36,7 @@ from .model import (
     PackageDecl,
     validate_model,
 )
-from .parser import ClassSyntax, CompilationUnit, MethodSyntax, parse_compilation_unit
+from .parser import RECOVERY_NOTE, ClassSyntax, CompilationUnit, MethodSyntax, parse_compilation_unit
 
 # Package used for classes whose file has no package declaration; the name is
 # a reserved word in the grammar, so it cannot collide with a declared one.
@@ -168,6 +168,20 @@ def discover_source_files(root: Path, extension: str = ".java") -> list[Path]:
     )
 
 
+def report_in_mode(found: list[Diagnostic], diagnostics: list[Diagnostic], strict: bool, note: str = "") -> bool:
+    """Add one stage's ``found`` diagnostics for one file to ``diagnostics``
+    as the mode has them; False when strict mode abandons the file at an
+    error. Lenient mode turns each error into a warning ended with ``note``."""
+    for diagnostic in found:
+        if diagnostic.severity is Severity.ERROR:
+            if strict:
+                diagnostics.append(diagnostic)
+                return False
+            diagnostic = diagnostic._replace(severity=Severity.WARNING, message=diagnostic.message + note)
+        diagnostics.append(diagnostic)
+    return True
+
+
 def parse_project(
     root: Path,
     extension: str = ".java",
@@ -175,6 +189,8 @@ def parse_project(
     project_name: str | None = None,
 ) -> tuple[CodeModel, list[Diagnostic], int]:
     """Read, tokenize, parse, and assemble every source file under ``root``.
+    The lexer and the parser report problems as errors, which
+    ``report_in_mode`` treats as ``strict`` says.
 
     Returns the model, all diagnostics, and the total source size in
     characters (used for the summary-to-source length report).
@@ -196,14 +212,13 @@ def parse_project(
             diagnostics.append(error(f"cannot read source file: {exc}", display))
             continue
         source_length += len(text)
-        tokens, lex_diagnostics = tokenize(text, display, strict)
-        diagnostics.extend(lex_diagnostics)
-        if strict and any(d.severity is Severity.ERROR for d in lex_diagnostics):
+        tokens, found = tokenize(text, display)
+        if found and not report_in_mode(found, diagnostics, strict):
             continue
-        unit, parse_diagnostics = parse_compilation_unit(tokens, display, strict)
-        diagnostics.extend(parse_diagnostics)
-        if unit is not None:
-            units.append(unit)
+        unit, found = parse_compilation_unit(tokens, display)
+        if found and not report_in_mode(found, diagnostics, strict, RECOVERY_NOTE):
+            continue
+        units.append(unit)
 
     model, build_diagnostics = build_model(units, name)
     diagnostics.extend(build_diagnostics)

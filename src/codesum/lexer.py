@@ -20,19 +20,22 @@ whose name starts with ``[A-Za-z_$]`` or a non-ASCII ``[^\\W\\d]``. Its texts
 are exactly the exact path's unless one of these holds, and then the file is
 scanned again on the exact path:
 
-* a text is in ``_PROBLEMS``: ``/*`` of an unclosed comment, or a lone
-  quote or illegal ASCII character. In lenient mode a lone illegal
-  character other than a quote is no reason: it is reported where it
-  stands and dropped, as the exact path does;
+* a text is in ``_PROBLEMS`` but not in ``_LONE``: ``/*`` of an unclosed
+  comment, or a lone quote. A lone illegal character other than a quote is
+  no reason: it is reported where it stands and dropped, as the exact path
+  does;
 * a text starts with a non-ASCII character that ``str.isalpha`` rejects,
   such as ``²`` (a digit to ``_number_end``) or ``→``;
 * a text holding a non-ASCII character follows a number, which
   ``_number_end`` may extend (``1e٣``).
 
 The token offsets of a file come from one ``finditer`` over ``_TEXTS``, and
-only when a position is asked for: by a lone character's warning, or later
-by the parser's or the model builder's, which take them only as far as the
-furthest token asked for.
+only when a position is asked for: by a lone character's error, or later by
+the parser's or the model builder's diagnostics, which take them only as far
+as the furthest token asked for.
+
+Each lexical problem is an error, and scanning resumes past the offending
+text; ``extractor.parse_project`` applies the mode to the diagnostics.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import not_
 from typing import Iterator, Sequence
 
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic, error
 
 
 class TokenKind(Enum):
@@ -140,7 +143,7 @@ _MASTER = rf"""(?x)({_SKIP})
 _TOKEN = rf"/\*|{_OPERATOR}|(?:[A-Za-z_$]|[^\W\d\x00-\x7f])[\w$]*|{_NUMBER}|{_LITERAL}|[^ \t\r\n\f]|\Z"
 _TEXTS = rf"{_SKIP}({_TOKEN})"
 _PROBLEMS = frozenset(["/*", *(c for c in map(chr, range(128)) if not (c.isalnum() or c in "_$" or c in _OPERATORS))])
-# The problems lenient mode reports and drops on the fast path.
+# The problems the fast path reports and drops.
 _LONE = _PROBLEMS.difference(["/*", '"', "'"])
 
 _NAME_PART = re.compile(r"[\w$]*")
@@ -228,33 +231,28 @@ def _number_end(source: str, pos: int) -> int:
     return pos
 
 
-def tokenize(
-    source: str, file: str = "<source>", strict: bool = True
-) -> tuple[Tokens, list[Diagnostic]]:
+def tokenize(source: str, file: str = "<source>") -> tuple[Tokens, list[Diagnostic]]:
     """Split ``source`` into tokens.
 
-    In strict mode the first lexical problem is reported as an error and
-    scanning stops; in lenient mode it is reported as a warning and scanning
-    resumes past the offending text.
+    Each lexical problem is reported as an error, and scanning resumes past
+    the offending text.
     """
     texts = re.findall(_TEXTS, source)
     lone = _PROBLEMS.intersection(texts)
-    if lone and (strict or not lone <= _LONE):
-        return _scan(source, file, strict)
-    if not (source.isascii() or _exact_as_fast(texts)):
-        return _scan(source, file, strict)
+    if not (lone <= _LONE and (source.isascii() or _exact_as_fast(texts))):
+        return _scan(source, file)
     texts.pop()  # the end of the input
     if texts and not texts[-1]:
         texts.pop()  # matched once more after trailing whitespace
     if not lone:
         return Tokens(texts, Positions(source)), []
-    # Lenient lone characters: each is a warning, and neither a token nor an offset.
+    # Lone characters: each is an error, and neither a token nor an offset.
     starts = array("q", _token_starts(source))
     dropped = list(map(lone.__contains__, texts))
     kept = list(map(not_, dropped))
     positions = Positions(source, array("q", compress(starts, kept)))
     diagnostics = [
-        warning(f"illegal character {text!r}", file, *positions.locate(start))
+        error(f"illegal character {text!r}", file, *positions.locate(start))
         for text, start in zip(compress(texts, dropped), compress(starts, dropped))
     ]
     return Tokens(list(compress(texts, kept)), positions), diagnostics
@@ -274,7 +272,7 @@ def _exact_as_fast(texts: list[str]) -> bool:
     return True
 
 
-def _scan(source: str, file: str, strict: bool) -> tuple[Tokens, list[Diagnostic]]:
+def _scan(source: str, file: str) -> tuple[Tokens, list[Diagnostic]]:
     """The exact path: one ``_MASTER`` match per token, problem or end."""
     texts: list[str] = []
     starts = array("q")  # a unit keeps its offsets: 8 bytes each, not an int object
@@ -298,11 +296,7 @@ def _scan(source: str, file: str, strict: bool) -> tuple[Tokens, list[Diagnostic
             break
         elif group == "other" or group in _UNTERMINATED:
             message = _UNTERMINATED.get(group) or f"illegal character {source[start]!r}"
-            line, column = positions.locate(start)
-            if strict:
-                diagnostics.append(error(message, file, line, column))
-                break
-            diagnostics.append(warning(message, file, line, column))
+            diagnostics.append(error(message, file, *positions.locate(start)))
             if group == "open_comment":
                 break  # an unclosed comment runs to the end of the file
             continue

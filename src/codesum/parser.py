@@ -42,8 +42,8 @@ there. A token's kind is derived from its text where a rule needs it.
 Declarations, events and failures carry token indexes; an index becomes a
 line and column only when a diagnostic is made.
 
-Strict mode stops at the first syntax problem in a file; lenient mode records
-it as a warning and resumes at the next top-level declaration.
+Each syntax problem is an error, and parsing resumes at the next top-level
+declaration; ``extractor.parse_project`` applies the mode to the diagnostics.
 """
 
 from __future__ import annotations
@@ -62,10 +62,13 @@ _MODIFIERS = frozenset(
     [*_ACCESS_KEYWORDS, "static", "final", "abstract", "native", "synchronized", "transient", "volatile", "strictfp"]
 )
 
-# Tokens that can open a top-level declaration; used for lenient-mode recovery.
+# Tokens that can open a top-level declaration; recovery after a problem resumes at one.
 _TOP_LEVEL_START = frozenset(
     ["class", "interface", "enum", "public", "private", "protected", "abstract", "strictfp", "import", "package"]
 )
+
+# Ends the message of a syntax problem that lenient mode reports as a warning.
+RECOVERY_NOTE = " (skipping to next top-level declaration)"
 
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
 
@@ -178,12 +181,11 @@ def _append_type_text(buffer: str, text: str) -> str:
 
 
 class _Parser:
-    def __init__(self, texts: list[str], end: int, positions: Positions, file: str, strict: bool):
+    def __init__(self, texts: list[str], end: int, positions: Positions, file: str):
         self.texts = texts  # padded past ``end`` by parse_compilation_unit
         self.end = end
         self.positions = positions
         self.file = file
-        self.strict = strict
         self.pos = 0
         self.depth = 0
         # Where events go: the body's list while a method body is parsed.
@@ -228,13 +230,10 @@ class _Parser:
             raise self._fail(f"expected identifier {context}")
         return self._advance()
 
-    def _diagnostic(self, make, message: str, token: int) -> Diagnostic:
-        """``make`` (``error`` or ``warning``) at token index ``token``; -1 means 1:1."""
+    def _add(self, make, message: str, token: int) -> None:
+        """Add ``make`` (``error`` or ``warning``) at token index ``token``; -1 means 1:1."""
         line, column = self.positions.position(token) if token >= 0 else (1, 1)
-        return make(message, self.file, line, column)
-
-    def _warn_at(self, message: str, token: int) -> None:
-        self.diagnostics.append(self._diagnostic(warning, message, token))
+        self.diagnostics.append(make(message, self.file, line, column))
 
     def __enter__(self) -> None:
         """``with self:`` spans one nesting level; the level past ``_MAX_NESTING``
@@ -249,7 +248,7 @@ class _Parser:
     # ------------------------------------------------------------------
     # compilation unit
 
-    def parse_unit(self) -> tuple[CompilationUnit | None, list[Diagnostic]]:
+    def parse_unit(self) -> tuple[CompilationUnit, list[Diagnostic]]:
         unit = CompilationUnit(self.file, self.positions)
         try:
             self._skip_annotations()
@@ -270,8 +269,7 @@ class _Parser:
                 self._expect_text(";", "after import")
                 unit.imports.append(name)
         except _ParseFailure as failure:
-            if not self._handle_failure(failure):
-                return None, self.diagnostics
+            self._report(failure)
             self._synchronize_top_level()
 
         while not self._at_end():
@@ -290,28 +288,22 @@ class _Parser:
                     self._advance()
                     unit.classes.append(self._parse_class(access))
                 elif text in ("interface", "enum"):
-                    self._warn_at(f"unsupported construct: {text} declaration (skipped)", self._advance())
+                    self._add(warning, f"unsupported construct: {text} declaration (skipped)", self._advance())
                     self._skip_declaration_with_body()
                 else:
                     raise self._fail("expected class declaration")
             except _ParseFailure as failure:
-                if not self._handle_failure(failure):
-                    return None, self.diagnostics
+                self._report(failure)
                 if self.pos == start_pos:
                     self.pos += 1
                 self._synchronize_top_level()
 
         return unit, self.diagnostics
 
-    def _handle_failure(self, failure: _ParseFailure) -> bool:
-        """Record a syntax problem; True means parsing may continue."""
+    def _report(self, failure: _ParseFailure) -> None:
+        """Record a syntax problem as an error."""
         self.depth = 0  # an expression releases no level as a failure unwinds it
-        if self.strict:
-            self.diagnostics.append(self._diagnostic(error, failure.message, failure.token))
-        else:
-            message = f"{failure.message} (skipping to next top-level declaration)"
-            self.diagnostics.append(self._diagnostic(warning, message, failure.token))
-        return not self.strict
+        self._add(error, failure.message, failure.token)
 
     def _synchronize_top_level(self) -> None:
         depth = 0
@@ -331,7 +323,7 @@ class _Parser:
 
     def _skip_annotations(self) -> None:
         while self._check("@"):
-            self._warn_at("unsupported construct: annotation (skipped)", self._advance())
+            self._add(warning, "unsupported construct: annotation (skipped)", self._advance())
             self._expect_identifier("after '@'")
             while self._match("."):
                 self._expect_identifier("in annotation name")
@@ -438,7 +430,7 @@ class _Parser:
         name = self._expect_identifier("after 'class'")
         cls = ClassSyntax(self.texts[name], name, access)
         if self._check("<"):
-            self._warn_at("unsupported construct: generic type parameters (skipped)", self.pos)
+            self._add(warning, "unsupported construct: generic type parameters (skipped)", self.pos)
             self._consume_generic_arguments("")
         if self._match("extends"):
             cls.superclass = self._parse_type("after 'extends'")
@@ -463,11 +455,11 @@ class _Parser:
         if not text:
             raise self._fail("unexpected end of file in class body")
         if text == "{":
-            self._warn_at("unsupported construct: initializer block (skipped)", self.pos)
+            self._add(warning, "unsupported construct: initializer block (skipped)", self.pos)
             self._skip_balanced("{", "}")
             return
         if text in ("class", "interface", "enum"):
-            self._warn_at(f"unsupported construct: nested {text} (skipped)", self._advance())
+            self._add(warning, f"unsupported construct: nested {text} (skipped)", self._advance())
             self._skip_declaration_with_body()
             return
         # The class name is an identifier, so a token with its text is one too.
@@ -850,7 +842,7 @@ class _Parser:
         if self._check("("):
             self._parse_arguments()
             if self._check("{"):
-                self._warn_at("unsupported construct: anonymous class body (skipped)", self.pos)
+                self._add(warning, "unsupported construct: anonymous class body (skipped)", self.pos)
                 self._skip_balanced("{", "}")
             return "new " + type_text
         if self._check("[") or self._check("{"):
@@ -883,14 +875,12 @@ _STATEMENT_HANDLERS = {
 }
 
 
-def parse_compilation_unit(
-    tokens: Tokens, file: str = "<source>", strict: bool = True
-) -> tuple[CompilationUnit | None, list[Diagnostic]]:
+def parse_compilation_unit(tokens: Tokens, file: str = "<source>") -> tuple[CompilationUnit, list[Diagnostic]]:
     """Parse one file's tokens.
 
-    Returns the unit plus diagnostics; in strict mode a syntax problem yields
-    ``(None, diagnostics)`` with a single error, in lenient mode problems are
-    warnings and the unit holds every declaration that survived recovery.
+    Returns the unit, which holds every declaration that survived recovery,
+    plus diagnostics: an error for each syntax problem and a warning for each
+    unsupported construct skipped.
     """
     texts = tokens.texts
     end = len(texts)
@@ -898,6 +888,6 @@ def parse_compilation_unit(
     # texts: a cast lookahead reads the token after a type ending the file.
     texts += ("", "")
     try:
-        return _Parser(texts, end, tokens.positions, file, strict).parse_unit()
+        return _Parser(texts, end, tokens.positions, file).parse_unit()
     finally:
         del texts[end:]

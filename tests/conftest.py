@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from codesum.diagnostics import has_errors
-from codesum.extractor import parse_project
+from codesum.extractor import parse_project, report_in_mode
 from codesum.model import ClassDecl, CodeModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,6 +22,14 @@ def lookup_class(model: CodeModel, package: str, class_name: str) -> ClassDecl |
                 if cls.name == class_name:
                     return cls
     return None
+
+
+def in_mode(found, strict: bool, note: str = ""):
+    """One stage's ``found`` diagnostics as the mode has them, and whether
+    the mode keeps the file (see ``report_in_mode``)."""
+    diagnostics = []
+    kept = report_in_mode(found, diagnostics, strict, note)
+    return diagnostics, kept
 
 
 def _parsed(name: str):

@@ -504,7 +504,7 @@ def _frame_depth():
 def test_deepest_accepted_nesting_needs_at_most_400_frames(shape):
     # With the statement and its expression, 98 levels inside the statement
     # reach the nesting limit for each expression shape.
-    tokens, _ = tokenize(_probe_source(DEEP_SHAPES[shape](98)), "Probe.java", True)
+    tokens, _ = tokenize(_probe_source(DEEP_SHAPES[shape](98)), "Probe.java")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 400)
     try:

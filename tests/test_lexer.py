@@ -4,7 +4,6 @@ import importlib.util
 import random
 import re
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +12,7 @@ from codesum import lexer
 from codesum.diagnostics import Severity
 from codesum.lexer import TokenKind, token_kind, tokenize
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from conftest import FIXTURES, in_mode
 
 
 class _Token(NamedTuple):
@@ -31,8 +30,10 @@ def _view(tokens) -> list[_Token]:
 
 
 def _tokenize(source: str, file: str = "<source>", strict: bool = True):
-    tokens, diagnostics = tokenize(source, file, strict)
-    return _view(tokens), diagnostics
+    """The viewed tokens, or None where the mode drops them, and the diagnostics."""
+    tokens, found = tokenize(source, file)
+    diagnostics, kept = in_mode(found, strict)
+    return _view(tokens) if kept else None, diagnostics
 
 
 def _clean(source: str):
@@ -114,7 +115,7 @@ def test_strict_unterminated_string_is_error_and_stops():
     tokens, diagnostics = _tokenize('String s = "oops\nint x;', strict=True)
     assert [d.severity for d in diagnostics] == [Severity.ERROR]
     assert "unterminated string" in diagnostics[0].message
-    assert [t.text for t in tokens] == ["String", "s", "="]
+    assert tokens is None
 
 
 def test_lenient_unterminated_string_is_warning_and_continues():
@@ -126,7 +127,7 @@ def test_lenient_unterminated_string_is_warning_and_continues():
 def test_illegal_character_strict_versus_lenient():
     tokens, diagnostics = _tokenize("int #x;", strict=True)
     assert [d.severity for d in diagnostics] == [Severity.ERROR]
-    assert [t.text for t in tokens] == ["int"]
+    assert tokens is None
 
     tokens, diagnostics = _tokenize("int #x;", strict=False)
     assert [d.severity for d in diagnostics] == [Severity.WARNING]
@@ -134,14 +135,14 @@ def test_illegal_character_strict_versus_lenient():
 
 
 def test_unterminated_block_comment():
-    _, strict_diagnostics = tokenize("/* oops", strict=True)
+    _, strict_diagnostics = _tokenize("/* oops", strict=True)
     assert [d.severity for d in strict_diagnostics] == [Severity.ERROR]
-    _, lenient_diagnostics = tokenize("/* oops", strict=False)
+    _, lenient_diagnostics = _tokenize("/* oops", strict=False)
     assert [d.severity for d in lenient_diagnostics] == [Severity.WARNING]
 
 
 def test_diagnostics_carry_file_and_position():
-    _, diagnostics = tokenize("  #", file="Bad.java", strict=True)
+    _, diagnostics = _tokenize("  #", file="Bad.java", strict=True)
     assert diagnostics[0].file == "Bad.java"
     assert (diagnostics[0].line, diagnostics[0].column) == (1, 3)
 
@@ -155,15 +156,16 @@ def test_sample_file_identifier_counts():
 
 
 # ----------------------------------------------------------------------
-# Exact behaviour, pinned in both modes: (kind, text, line, column) tuples
-# and rendered diagnostics.
+# Exact behaviour, pinned in both modes: (kind, text, line, column) tuples,
+# or None where strict mode abandons the file, and rendered diagnostics.
 
 I, P, L = TokenKind.IDENTIFIER, TokenKind.PUNCTUATION, TokenKind.LITERAL
 
 
 def _lex(source: str, strict: bool):
     tokens, diagnostics = _tokenize(source, "F.java", strict)
-    return [(t.kind, t.text, t.line, t.column) for t in tokens], [str(d) for d in diagnostics]
+    viewed = None if tokens is None else [(t.kind, t.text, t.line, t.column) for t in tokens]
+    return viewed, [str(d) for d in diagnostics]
 
 
 @pytest.mark.parametrize(
@@ -198,7 +200,7 @@ def test_clean_sources_lex_identically_in_both_modes(source, tokens):
 def test_unterminated_string_stops_at_end_of_line_and_lenient_resumes_on_the_next():
     source = 's = "ab\nc;'
     head = [(I, "s", 1, 1), (P, "=", 1, 3)]
-    assert _lex(source, True) == (head, ["F.java:1:5: error: unterminated string literal"])
+    assert _lex(source, True) == (None, ["F.java:1:5: error: unterminated string literal"])
     assert _lex(source, False) == (
         head + [(I, "c", 2, 1), (P, ";", 2, 2)],
         ["F.java:1:5: warning: unterminated string literal"],
@@ -207,12 +209,12 @@ def test_unterminated_string_stops_at_end_of_line_and_lenient_resumes_on_the_nex
 
 def test_unterminated_character_literal_resumes_on_the_next_line():
     assert _lex("'x\nc", False) == ([(I, "c", 2, 1)], ["F.java:1:1: warning: unterminated character literal"])
-    assert _lex("'x\nc", True) == ([], ["F.java:1:1: error: unterminated character literal"])
+    assert _lex("'x\nc", True) == (None, ["F.java:1:1: error: unterminated character literal"])
 
 
 def test_escaped_carriage_return_does_not_escape_the_newline():
     source = '"a\\\r\nb" c'
-    assert _lex(source, True) == ([], ["F.java:1:1: error: unterminated string literal"])
+    assert _lex(source, True) == (None, ["F.java:1:1: error: unterminated string literal"])
     assert _lex(source, False) == (
         [(I, "b", 2, 1)],
         ["F.java:1:1: warning: unterminated string literal", "F.java:2:2: warning: unterminated string literal"],
@@ -220,28 +222,26 @@ def test_escaped_carriage_return_does_not_escape_the_newline():
 
 
 def test_unterminated_block_comment_is_reported_at_its_opener():
-    for strict, severity in ((True, "error"), (False, "warning")):
-        assert _lex("x /* y\nz", strict) == (
-            [(I, "x", 1, 1)],
-            [f"F.java:1:3: {severity}: unterminated block comment"],
-        )
+    assert _lex("x /* y\nz", True) == (None, ["F.java:1:3: error: unterminated block comment"])
+    assert _lex("x /* y\nz", False) == ([(I, "x", 1, 1)], ["F.java:1:3: warning: unterminated block comment"])
     assert _lex("/*/ x", False) == ([], ["F.java:1:1: warning: unterminated block comment"])
 
 
 def test_illegal_character_then_name():
-    assert _lex("#a", True) == ([], ["F.java:1:1: error: illegal character '#'"])
+    assert _lex("#a", True) == (None, ["F.java:1:1: error: illegal character '#'"])
     assert _lex("#a", False) == ([(I, "a", 1, 2)], ["F.java:1:1: warning: illegal character '#'"])
 
 
 def test_lone_backslash_as_the_last_character():
-    for strict, severity in ((True, "error"), (False, "warning")):
-        assert _lex("a\\", strict) == ([(I, "a", 1, 1)], [f"F.java:1:2: {severity}: illegal character '\\\\'"])
-        assert _lex('"a\\', strict) == ([], [f"F.java:1:1: {severity}: unterminated string literal"])
+    assert _lex("a\\", True) == (None, ["F.java:1:2: error: illegal character '\\\\'"])
+    assert _lex("a\\", False) == ([(I, "a", 1, 1)], ["F.java:1:2: warning: illegal character '\\\\'"])
+    assert _lex('"a\\', True) == (None, ["F.java:1:1: error: unterminated string literal"])
+    assert _lex('"a\\', False) == ([], ["F.java:1:1: warning: unterminated string literal"])
 
 
 def test_non_digit_numeric_character_is_illegal():
     source = "x ½ y"
-    assert _lex(source, True) == ([(I, "x", 1, 1)], ["F.java:1:3: error: illegal character '½'"])
+    assert _lex(source, True) == (None, ["F.java:1:3: error: illegal character '½'"])
     assert _lex(source, False) == (
         [(I, "x", 1, 1), (I, "y", 1, 5)],
         ["F.java:1:3: warning: illegal character '½'"],
@@ -282,11 +282,11 @@ def test_random_sources_report_true_increasing_positions(seed):
     for source in _random_sources(seed):
         results = {strict: _tokenize(source, "F.java", strict) for strict in (True, False)}
         for tokens, diagnostics in results.values():
-            for token in tokens:
+            for token in tokens or ():
                 assert source.startswith(token.text, _offset(source, token.line, token.column)), (source, token)
             for diagnostic in diagnostics:
                 assert _offset(source, diagnostic.line, diagnostic.column) < len(source), (source, diagnostic)
-            assert _strictly_increasing(tokens), source
+            assert _strictly_increasing(tokens or ()), source
             assert _strictly_increasing(diagnostics), source
         if not results[False][1]:
             clean += 1
@@ -318,7 +318,7 @@ def _disagreeing_code_points() -> list[str]:
 
 def test_fast_and_exact_paths_agree(monkeypatch):
     """``tokenize`` against the exact scanner alone: texts, kinds, every
-    ``line:col`` and every diagnostic, in both modes."""
+    ``line:col`` and every diagnostic."""
     fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.java"))]
     corpus = [source for seed in range(5) for source in _random_sources(seed)]
     disagreeing = _disagreeing_code_points()
@@ -334,11 +334,10 @@ def test_fast_and_exact_paths_agree(monkeypatch):
 
     monkeypatch.setattr(lexer, "_scan", counted_scan)
     for source in fixtures + corpus + code_points:
-        for strict in (True, False):
-            tokens, diagnostics = tokenize(source, "F.java", strict)
-            exact_tokens, exact_diagnostics = exact_scan(source, "F.java", strict)
-            assert _view(tokens) == _view(exact_tokens), (source, strict)
-            assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics], (source, strict)
+        tokens, diagnostics = tokenize(source, "F.java")
+        exact_tokens, exact_diagnostics = exact_scan(source, "F.java")
+        assert _view(tokens) == _view(exact_tokens), source
+        assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics], source
     # Every fixture file took the fast path, and so did many other sources.
     fast = set(fixtures + corpus + code_points).difference(exact_scans)
     assert set(fixtures) <= fast
@@ -360,8 +359,8 @@ def _load_generator(monkeypatch):
 
 def test_lenient_dense_files_take_the_fast_path(monkeypatch, tmp_path):
     """The benchmark's lenient-dense files hold non-ASCII names and lone
-    illegal characters; all lex as on the exact path, and in lenient mode none
-    is scanned twice."""
+    illegal characters; all lex as on the exact path, and none is scanned
+    twice."""
     _load_generator(monkeypatch).generate_lenient_dense(tmp_path, 0)
     sources = [path.read_text(encoding="utf-8") for path in sorted(tmp_path.rglob("*.java"))]
     assert len(sources) == 40 and not any(map(str.isascii, sources))
@@ -369,19 +368,17 @@ def test_lenient_dense_files_take_the_fast_path(monkeypatch, tmp_path):
     exact_scans = []
 
     def counted_scan(source, *rest):
-        exact_scans.append(rest)
+        exact_scans.append(source)
         return exact_scan(source, *rest)
 
     monkeypatch.setattr(lexer, "_scan", counted_scan)
-    for strict in (True, False):
-        for source in sources:
-            tokens, diagnostics = tokenize(source, "F.java", strict)
-            exact_tokens, exact_diagnostics = exact_scan(source, "F.java", strict)
-            assert tokens.texts == exact_tokens.texts
-            # Equal offsets into one source are equal ``line:col``s.
-            assert list(map(tokens.positions.offset, range(len(tokens)))) == list(
-                map(exact_tokens.positions.offset, range(len(exact_tokens)))
-            )
-            assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics]
-    # Only strict mode scans a file again: one with an illegal character.
-    assert exact_scans and ("F.java", False) not in exact_scans
+    for source in sources:
+        tokens, diagnostics = tokenize(source, "F.java")
+        exact_tokens, exact_diagnostics = exact_scan(source, "F.java")
+        assert tokens.texts == exact_tokens.texts
+        # Equal offsets into one source are equal ``line:col``s.
+        assert list(map(tokens.positions.offset, range(len(tokens)))) == list(
+            map(exact_tokens.positions.offset, range(len(exact_tokens)))
+        )
+        assert [str(d) for d in diagnostics] == [str(d) for d in exact_diagnostics]
+    assert exact_scans == []

@@ -12,9 +12,9 @@ import random
 
 from codesum.diagnostics import Diagnostic, error, has_errors
 from codesum.lexer import tokenize
-from codesum.parser import parse_compilation_unit
+from codesum.parser import RECOVERY_NOTE, parse_compilation_unit
 
-from conftest import FIXTURES
+from conftest import FIXTURES, in_mode
 from test_parser import _mutation_corpus
 
 _NOTE = " (skipping to next top-level declaration)"
@@ -26,15 +26,18 @@ _INSERTED = ['"', "'", "/*", "\\", "#", "²", "٣", "→", "é", "\r"]
 
 def _lexed(source: str, file: str, strict: bool):
     """The token texts and offsets, or None where the mode drops them, and the diagnostics."""
-    tokens, diagnostics = tokenize(source, file, strict)
-    if has_errors(diagnostics):
+    tokens, found = tokenize(source, file)
+    diagnostics, kept = in_mode(found, strict)
+    if not kept:
         return None, diagnostics
     return (tokens.texts, list(map(tokens.positions.offset, range(len(tokens))))), diagnostics
 
 
 def _parsed(tokens, file: str, strict: bool):
     """The unit, or None where the mode drops it, and the diagnostics."""
-    return parse_compilation_unit(tokens, file, strict)
+    unit, found = parse_compilation_unit(tokens, file)
+    diagnostics, kept = in_mode(found, strict, RECOVERY_NOTE)
+    return unit if kept else None, diagnostics
 
 
 def _strict_from_lenient(lenient: list[Diagnostic], is_problem) -> tuple[list[Diagnostic], bool]:

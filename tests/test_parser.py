@@ -9,20 +9,23 @@ from codesum.diagnostics import Severity, has_errors
 from codesum.extractor import build_model
 from codesum.lexer import Positions, Tokens, tokenize
 from codesum.model import AccessLevel
-from codesum.parser import _MAX_NESTING, CompilationUnit, parse_compilation_unit
+from codesum.parser import _MAX_NESTING, RECOVERY_NOTE, CompilationUnit, parse_compilation_unit
 from codesum.xml_io import export_xml
 
-from conftest import FIXTURES
+from conftest import FIXTURES, in_mode
 
 
-def _lexed(source: str, strict: bool = True) -> Tokens:
-    tokens, lex_diagnostics = tokenize(source, "Test.java", strict)
+def _lexed(source: str) -> Tokens:
+    tokens, lex_diagnostics = tokenize(source, "Test.java")
     assert not has_errors(lex_diagnostics)
     return tokens
 
 
 def _parse(source: str, strict: bool = True):
-    return parse_compilation_unit(_lexed(source, strict), "Test.java", strict)
+    """The unit, or None where the mode drops it, and the diagnostics."""
+    unit, found = parse_compilation_unit(_lexed(source), "Test.java")
+    diagnostics, kept = in_mode(found, strict, RECOVERY_NOTE)
+    return unit if kept else None, diagnostics
 
 
 def _clean(source: str) -> CompilationUnit:
@@ -474,9 +477,8 @@ def test_final_without_a_declaration_in_a_body():
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_empty_token_list_gives_an_empty_unit(strict):
-    tokens = _lexed("")
-    unit, diagnostics = parse_compilation_unit(tokens, "Test.java", strict)
-    assert unit == CompilationUnit("Test.java", tokens.positions)
+    unit, diagnostics = _parse("", strict)
+    assert unit == CompilationUnit("Test.java", unit.positions)
     assert diagnostics == []
 
 
@@ -490,7 +492,7 @@ def _fixture_tokens():
     """Each fixture file's name, clean tokens and token offsets."""
     for path in sorted(FIXTURES.rglob("*.java")):
         name = path.relative_to(FIXTURES).as_posix()
-        tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), name, True)
+        tokens, lex_diagnostics = tokenize(path.read_text(encoding="utf-8"), name)
         assert lex_diagnostics == []
         yield name, tokens, [tokens.positions.offset(index) for index in range(len(tokens))]
 
@@ -543,12 +545,14 @@ def _mutation_corpus(seed: int = 8, per_file: int = 300):
 
 def _model_digest(corpus) -> str:
     """sha256 over each variant's exported model and every diagnostic of its
-    parse and build, in both modes."""
+    parse and build, in both modes. Each variant is parsed once, and each
+    mode is applied to its diagnostics."""
     digest = hashlib.sha256()
     for name, variant in corpus:
+        unit, found = parse_compilation_unit(variant, name)
         for strict in (True, False):
-            unit, diagnostics = parse_compilation_unit(variant, name, strict)
-            if unit is not None:
+            diagnostics, kept = in_mode(found, strict, RECOVERY_NOTE)
+            if kept:
                 model, build_diagnostics = build_model([unit], "golden")
                 digest.update(export_xml(model).encode())
                 diagnostics = diagnostics + build_diagnostics
