@@ -71,7 +71,9 @@ class AttributeDecl(NamedTuple):
 
 
 # A record with collections subclasses the named tuple of its fields. Its
-# ``__new__`` takes the same arguments and keeps each collection as a tuple.
+# ``__new__`` takes the same arguments and keeps each collection as a tuple;
+# its ``_make``, which ``_replace`` calls, builds through ``__new__``.
+_make_through_new = classmethod(lambda cls, fields: cls(*fields))
 
 
 class _MethodFields(NamedTuple):
@@ -93,6 +95,7 @@ class MethodDecl(_MethodFields):
     """
 
     __slots__ = ()
+    _make = _make_through_new
 
     def __new__(
         cls, name, access_level, return_type, declared_class,
@@ -117,6 +120,7 @@ class ClassDecl(_ClassFields):
     """A top-level class. ``superclass`` is None when no extends clause exists."""
 
     __slots__ = ()
+    _make = _make_through_new
 
     def __new__(cls, name, access_level, declared_package, superclass=None, attributes=(), methods=()) -> ClassDecl:
         return tuple.__new__(cls, (name, access_level, declared_package, superclass, tuple(attributes), tuple(methods)))
@@ -129,6 +133,7 @@ class _PackageFields(NamedTuple):
 
 class PackageDecl(_PackageFields):
     __slots__ = ()
+    _make = _make_through_new
 
     def __new__(cls, name, classes=()) -> PackageDecl:
         return tuple.__new__(cls, (name, tuple(classes)))
@@ -141,6 +146,7 @@ class _ModelFields(NamedTuple):
 
 class CodeModel(_ModelFields):
     __slots__ = ()
+    _make = _make_through_new
 
     def __new__(cls, project_name, packages=()) -> CodeModel:
         return tuple.__new__(cls, (project_name, tuple(packages)))

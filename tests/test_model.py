@@ -53,6 +53,12 @@ def test_collection_fields_are_coerced_to_tuples():
     assert isinstance(method.local_variables, tuple)
     assert isinstance(method.attribute_accesses, tuple)
     assert isinstance(method.method_invocations, tuple)
+    # ``_make``, and ``_replace``, which calls it, keep each collection as a tuple too.
+    for record in (method, cls, model.packages[0], model):
+        lists = [list(field) if type(field) is tuple else field for field in record]
+        for rebuilt in (type(record)._make(lists), record._replace(**dict(zip(record._fields, lists)))):
+            assert [type(field) for field in rebuilt] == [type(field) for field in record], rebuilt
+            assert type(rebuilt) is type(record) and hash(rebuilt) == hash(record)
 
 
 def test_nodes_are_immutable():
