@@ -60,14 +60,8 @@ _CONSTANT_STYLE = re.compile(r"[A-Z_][A-Z0-9_]*")
 
 
 def render_identifier(name: str, config: RenderingConfig) -> str:
-    # Upper case is tested first: a name that folds holds only [A-Z0-9_] and a letter.
-    if (
-        config.lowercase_constant_identifiers
-        and name.isupper()
-        and len(name) >= 2
-        and _CONSTANT_STYLE.fullmatch(name)
-        and any(ch.isalpha() for ch in name)
-    ):
+    # Upper case is tested first. It needs a cased letter: under _CONSTANT_STYLE, one of A-Z.
+    if config.lowercase_constant_identifiers and name.isupper() and len(name) >= 2 and _CONSTANT_STYLE.fullmatch(name):
         return name.lower()
     return name
 
