@@ -179,6 +179,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("exactly one of --in and --xml is required")
         if args.stage == STAGE_SUMMARIZE and args.xml_path is None:
             parser.error("--stage summarize requires --xml")
+        if args.stage == STAGE_SUMMARIZE and args.project_name is not None:
+            parser.error("--stage summarize takes the project name from --xml, not --project")
         if args.stage in (STAGE_EXTRACT, STAGE_FULL) and args.input_dir is None:
             parser.error(f"--stage {args.stage} requires --in")
     except SystemExit as exit_request:

@@ -72,16 +72,16 @@ def test_project_name_override_lands_in_the_model_document(tmp_path, capsys):
     assert 'ProjectName="renamed"' in (out / "model.xml").read_text(encoding="utf-8")
 
 
-def test_summarize_output_does_not_depend_on_the_project_name(tmp_path, capsys):
-    extracted = tmp_path / "extracted"
-    assert cli.main(["--in", DRAWING, "--out", str(extracted), "--stage", "extract"]) == 0
-    capsys.readouterr()
+def test_summaries_do_not_depend_on_the_model_project_name(tmp_path, capsys):
     runs = []
     for name, extra in (("plain", []), ("renamed", ["--project", "Other"])):
-        out = tmp_path / name
-        argv = ["--xml", str(extracted / "model.xml"), "--out", str(out), "--stage", "summarize", *extra]
+        extracted, out = tmp_path / name / "extracted", tmp_path / name / "out"
+        assert cli.main(["--in", DRAWING, "--out", str(extracted), "--stage", "extract", *extra]) == 0
+        capsys.readouterr()
+        argv = ["--xml", str(extracted / "model.xml"), "--out", str(out), "--stage", "summarize"]
         code, stdout, stderr = _run(argv, capsys)
         runs.append((code, stdout, stderr, _tree_bytes(out)))
+    assert 'ProjectName="Other"' in (tmp_path / "renamed" / "extracted" / "model.xml").read_text(encoding="utf-8")
     assert runs[0][0] == 0
     assert runs[0][3]
     assert runs[0] == runs[1]
@@ -96,6 +96,7 @@ def test_summarize_output_does_not_depend_on_the_project_name(tmp_path, capsys):
         ["--xml", "b", "--out", "o", "--stage", "extract"],
         ["--xml", "b", "--out", "o", "--stage", "full"],
         ["--in", "a", "--out", "o", "--mode", "sloppy"],
+        ["--xml", "b", "--out", "o", "--stage", "summarize", "--project", "P"],
     ],
 )
 def test_usage_errors_exit_with_two(argv, tmp_path, capsys):
