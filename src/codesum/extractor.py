@@ -188,9 +188,8 @@ def parse_project(
     strict: bool = True,
     project_name: str | None = None,
 ) -> tuple[CodeModel, list[Diagnostic], int]:
-    """Read, tokenize, parse, and assemble every source file under ``root``.
-    The lexer and the parser report problems as errors, which
-    ``report_in_mode`` treats as ``strict`` says.
+    """Read, tokenize, parse, and assemble every source file under ``root``;
+    ``report_in_mode`` applies ``strict`` to the lexer's and the parser's errors.
 
     Returns the model, all diagnostics, and the total source size in
     characters (used for the summary-to-source length report).

@@ -232,11 +232,7 @@ def _number_end(source: str, pos: int) -> int:
 
 
 def tokenize(source: str, file: str = "<source>") -> tuple[Tokens, list[Diagnostic]]:
-    """Split ``source`` into tokens.
-
-    Each lexical problem is reported as an error, and scanning resumes past
-    the offending text.
-    """
+    """Split ``source`` into tokens; each lexical problem is an error, and scanning resumes past it."""
     texts = re.findall(_TEXTS, source)
     lone = _PROBLEMS.intersection(texts)
     if not (lone <= _LONE and (source.isascii() or _exact_as_fast(texts))):
