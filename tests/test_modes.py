@@ -17,6 +17,7 @@ from codesum.parser import RECOVERY_NOTE, parse_compilation_unit
 from conftest import FIXTURES, in_mode
 from test_parser import _mutation_corpus
 
+# Spelled out, not imported, so that the oracle does not share the code under test.
 _NOTE = " (skipping to next top-level declaration)"
 
 # Quotes, comment openers, lone ASCII characters, non-ASCII digits that
