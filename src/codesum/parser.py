@@ -26,14 +26,16 @@ it are dropped. ``token`` is the index of the name's token. Events come in
 source order. A field initializer is parsed and checked like any expression,
 but its events are dropped.
 
-An expression is read by one loop, which keeps its binary operators on an
-explicit stack (shunting-yard over ``_BINARY_PRECEDENCE``). Chains are read in
-loops, so their length costs no stack: prefix operators and casts, postfix
-selections and calls, binary operators, assignments, the false branches of
-``?:`` and ``else if`` arms. Each statement, expression and array initializer
-counts one level towards ``_MAX_NESTING``, and so does each operator on the
-stack; input nested deeper is a syntax problem, so no input can exhaust the
-interpreter's stack. A failure resets the count.
+``_STATEMENT_HANDLERS`` maps each token that opens a statement to its reader;
+any other keyword is an unsupported statement, and any other token opens a
+local declaration or an expression statement. An expression is read by one
+loop, which keeps its binary operators on an explicit stack (shunting-yard
+over ``_BINARY_PRECEDENCE``). Chains are read in loops, so their length costs
+no stack: prefix operators and casts, postfix selections and calls, binary
+operators, assignments, the false branches of ``?:`` and ``else if`` arms.
+Each statement, expression, array initializer and stacked operator opens a
+level with ``_nest`` and closes it once read; nesting past ``_MAX_NESTING``
+is a syntax problem, so no input can exhaust the interpreter's stack.
 
 Tokens are read by index from the file's ``Tokens.texts``. For the length
 of a parse that list runs two entries past the last token, as ``""``, so any
@@ -121,26 +123,11 @@ class _ParseFailure(Exception):
         self.token = token
 
 
-class _Declaration:
-    """A declaration record, filled in as its declaration is parsed. Records
-    are equal when their types and their ``_compared`` fields are."""
-
-    __slots__ = ()
-    _compared: tuple[str, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(getattr(self, f) == getattr(other, f) for f in self._compared)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
-        return f"{type(self).__name__}({fields})"
-
-
-class MethodSyntax(_Declaration):
+class MethodSyntax:
     """A method or constructor; constructors carry the class name as return
     type. ``events`` are its body's dependency events (module docstring)."""
 
-    __slots__ = _compared = ("name", "token", "access_level", "return_type", "parameters", "events")
+    __slots__ = ("name", "token", "access_level", "return_type", "parameters", "events")
 
     def __init__(self, name: str, token: int, access_level: AccessLevel, return_type: str) -> None:
         self.name, self.token, self.access_level, self.return_type = name, token, access_level, return_type
@@ -148,8 +135,8 @@ class MethodSyntax(_Declaration):
         self.events: list[tuple] = []
 
 
-class ClassSyntax(_Declaration):
-    __slots__ = _compared = ("name", "token", "access_level", "superclass", "fields", "methods")
+class ClassSyntax:
+    __slots__ = ("name", "token", "access_level", "superclass", "fields", "methods")
 
     def __init__(self, name: str, token: int, access_level: AccessLevel) -> None:
         self.name, self.token, self.access_level = name, token, access_level
@@ -159,11 +146,10 @@ class ClassSyntax(_Declaration):
         self.methods: list[MethodSyntax] = []
 
 
-class CompilationUnit(_Declaration):
-    """One file's declarations; equality and ``repr`` leave out ``positions``."""
+class CompilationUnit:
+    """One file's declarations, and the positions of its tokens."""
 
-    _compared = ("file", "package", "imports", "classes")
-    __slots__ = ("positions", *_compared)
+    __slots__ = ("file", "positions", "package", "imports", "classes")
 
     def __init__(self, file: str, positions: Positions) -> None:
         self.file, self.positions = file, positions
@@ -235,15 +221,12 @@ class _Parser:
         line, column = self.positions.position(token) if token >= 0 else (1, 1)
         self.diagnostics.append(make(message, self.file, line, column))
 
-    def __enter__(self) -> None:
-        """``with self:`` spans one nesting level; the level past ``_MAX_NESTING``
-        fails at the current token."""
+    def _nest(self) -> None:
+        """Open one nesting level, which its reader closes with ``self.depth -= 1``;
+        the level past ``_MAX_NESTING`` fails at the current token."""
         if self.depth == _MAX_NESTING:
             raise _ParseFailure("nesting too deep", self._failure_token())
         self.depth += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.depth -= 1
 
     # ------------------------------------------------------------------
     # compilation unit
@@ -302,7 +285,7 @@ class _Parser:
 
     def _report(self, failure: _ParseFailure) -> None:
         """Record a syntax problem as an error."""
-        self.depth = 0  # an expression releases no level as a failure unwinds it
+        self.depth = 0  # no reader closes its level as a failure unwinds it
         self._add(error, failure.message, failure.token)
 
     def _synchronize_top_level(self) -> None:
@@ -513,33 +496,28 @@ class _Parser:
         text = self.texts[self.pos]
         if not text:
             raise self._fail("expected statement")
-        with self:
-            if text == "{":
-                self._parse_block()
-            elif text == ";":
-                self._advance()
-            elif text in KEYWORDS:
-                handler = _STATEMENT_HANDLERS.get(text)
-                if handler is not None:
-                    handler(self)
-                elif text in ("break", "continue"):
-                    self._advance()
-                    self._expect_text(";", f"after {text!r}")
-                elif text == "final":
-                    if not self._looks_like_local_declaration(self.pos + 1):
-                        raise self._fail("expected declaration after 'final'")
-                    self._advance()
-                    self._parse_local_declaration()
-                elif text in PRIMITIVE_TYPES:
-                    self._parse_local_declaration()
-                elif text in ("this", "super", "new") or text in _LITERAL_KEYWORDS:
-                    self._parse_expression_statement()
-                else:
-                    raise self._fail(f"unsupported statement {text!r}")
-            elif self._looks_like_local_declaration(self.pos):
-                self._parse_local_declaration()
-            else:
-                self._parse_expression_statement()
+        self._nest()
+        handler = _STATEMENT_HANDLERS.get(text)
+        if handler is not None:
+            handler(self)
+        elif text in KEYWORDS:
+            raise self._fail(f"unsupported statement {text!r}")
+        elif self._looks_like_local_declaration(self.pos):
+            self._parse_local_declaration()
+        else:
+            self._parse_expression_statement()
+        self.depth -= 1
+
+    def _parse_jump(self) -> None:
+        """``break`` or ``continue``."""
+        keyword = self.texts[self._advance()]
+        self._expect_text(";", f"after {keyword!r}")
+
+    def _parse_final_declaration(self) -> None:
+        if not self._looks_like_local_declaration(self.pos + 1):
+            raise self._fail("expected declaration after 'final'")
+        self._advance()
+        self._parse_local_declaration()
 
     def _parse_expression_statement(self) -> None:
         self._parse_expression()
@@ -690,14 +668,15 @@ class _Parser:
 
     def _parse_array_initializer(self) -> None:
         self._expect_text("{", "to open array initializer")
-        with self:
-            while not self._check("}"):
-                if self._at_end():
-                    raise self._fail("unexpected end of file in array initializer")
-                self._parse_variable_initializer()
-                if not self._match(","):
-                    break
-            self._expect_text("}", "to close array initializer")
+        self._nest()
+        while not self._check("}"):
+            if self._at_end():
+                raise self._fail("unexpected end of file in array initializer")
+            self._parse_variable_initializer()
+            if not self._match(","):
+                break
+        self._expect_text("}", "to close array initializer")
+        self.depth -= 1
 
     # ------------------------------------------------------------------
     # expressions
@@ -715,10 +694,7 @@ class _Parser:
         are left-associative. A false branch of ``?:`` takes no assignment:
         ``a ? b : c = d`` assigns to the whole conditional."""
         texts = self.texts
-        # One level, as ``__enter__`` counts it; a failure leaves it counted.
-        if self.depth == _MAX_NESTING:
-            raise _ParseFailure("nesting too deep", self._failure_token())
-        self.depth += 1
+        self._nest()
         pending = [0]
         # False once anything but one unprefixed operand has been read.
         plain = True
@@ -798,9 +774,7 @@ class _Parser:
                     pending.pop()
                     self.depth -= 1
                 if operator != "instanceof":
-                    if self.depth == _MAX_NESTING:
-                        raise _ParseFailure("nesting too deep", self._failure_token())
-                    self.depth += 1
+                    self._nest()
                     pending.append(precedence)
                     break  # to its right operand
                 self._parse_type("after 'instanceof'")
@@ -864,8 +838,15 @@ class _Parser:
         self._expect_text(")", "to close arguments")
 
 
-# Statements that open with one of these keywords, read by the handler.
+# The reader of each statement, by its first token (module docstring).
 _STATEMENT_HANDLERS = {
+    "{": _Parser._parse_block,
+    ";": _Parser._advance,
+    "break": _Parser._parse_jump,
+    "continue": _Parser._parse_jump,
+    "final": _Parser._parse_final_declaration,
+    **dict.fromkeys(PRIMITIVE_TYPES, _Parser._parse_local_declaration),
+    **dict.fromkeys(["this", "super", "new", *_LITERAL_KEYWORDS], _Parser._parse_expression_statement),
     "return": _Parser._parse_return,
     "throw": _Parser._parse_throw,
     "if": _Parser._parse_if,

@@ -1,5 +1,5 @@
 """Shared fixtures: the bundled sample projects, parsed once per session, and
-a class lookup for assertions."""
+helpers for assertions."""
 
 from __future__ import annotations
 
@@ -22,6 +22,19 @@ def lookup_class(model: CodeModel, package: str, class_name: str) -> ClassDecl |
                 if cls.name == class_name:
                     return cls
     return None
+
+
+def declarations(unit):
+    """A parsed unit as nested plain values, so that units compare by value;
+    None stays None. The token positions are left out."""
+    if unit is None:
+        return None
+    classes = [
+        (cls.name, cls.token, cls.access_level, cls.superclass, cls.fields,
+         [(m.name, m.token, m.access_level, m.return_type, m.parameters, m.events) for m in cls.methods])
+        for cls in unit.classes
+    ]
+    return unit.file, unit.package, unit.imports, classes
 
 
 def in_mode(found, strict: bool, note: str = ""):

@@ -14,7 +14,7 @@ from codesum.diagnostics import Diagnostic, error, has_errors
 from codesum.lexer import tokenize
 from codesum.parser import RECOVERY_NOTE, parse_compilation_unit
 
-from conftest import FIXTURES, in_mode
+from conftest import FIXTURES, declarations, in_mode
 from test_parser import _mutation_corpus
 
 # Spelled out, not imported, so that the oracle does not share the code under test.
@@ -35,10 +35,10 @@ def _lexed(source: str, file: str, strict: bool):
 
 
 def _parsed(tokens, file: str, strict: bool):
-    """The unit, or None where the mode drops it, and the diagnostics."""
+    """The unit's declarations, or None where the mode drops it, and the diagnostics."""
     unit, found = parse_compilation_unit(tokens, file)
     diagnostics, kept = in_mode(found, strict, RECOVERY_NOTE)
-    return unit if kept else None, diagnostics
+    return declarations(unit if kept else None), diagnostics
 
 
 def _strict_from_lenient(lenient: list[Diagnostic], is_problem) -> tuple[list[Diagnostic], bool]:
