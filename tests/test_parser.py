@@ -13,6 +13,7 @@ from codesum.parser import _MAX_NESTING, RECOVERY_NOTE, CompilationUnit, parse_c
 from codesum.xml_io import export_xml
 
 from conftest import FIXTURES, declarations, in_mode
+from test_cli import DEEP_SHAPES
 
 
 def _lexed(source: str) -> Tokens:
@@ -386,14 +387,30 @@ def _nested_parentheses(name: str, depth: int) -> str:
     return f"class {name} {{ void m() {{ int v = {'(' * depth}x{')' * depth}; }} }}\n"
 
 
-def test_nesting_limit_is_exact_and_restored_after_recovery():
-    # The statement and its initializer take two levels, each parenthesis one more.
-    deepest = _MAX_NESTING - 2
-    assert _parse(_nested_parentheses("A", deepest))[1] == []
-    unit, diagnostics = _parse(_nested_parentheses("A", deepest + 1))
+# Each shape's deepest nesting in a method body, and where one level more
+# fails. Each block, if and array initializer takes a level, and so do the
+# statements and expressions around them: an if's innermost statement and its
+# expression, an initializer's declaration. Each parenthesis or call takes one
+# level more than the statement and its initializer.
+@pytest.mark.parametrize(
+    "shape, deepest, position",
+    [
+        ("blocks", _MAX_NESTING, "1:122"),
+        ("ifs", _MAX_NESTING - 2, "1:715"),
+        ("array-initializers", _MAX_NESTING - 1, "1:132"),
+        ("parentheses", _MAX_NESTING - 2, "1:129"),
+        ("calls", _MAX_NESTING - 2, "1:228"),
+    ],
+)
+def test_nesting_limit_is_exact_and_restored_after_recovery(shape, deepest, position):
+    def nested(name: str, depth: int) -> str:
+        return f"class {name} {{ void m() {{ {DEEP_SHAPES[shape](depth)} }} }}\n"
+
+    assert _parse(nested("A", deepest))[1] == []
+    unit, diagnostics = _parse(nested("A", deepest + 1))
     assert unit is None
-    assert [d.message for d in diagnostics] == ["nesting too deep"]
-    source = _nested_parentheses("A", 150) + _nested_parentheses("B", 150) + _nested_parentheses("C", deepest)
+    assert [str(d) for d in diagnostics] == [f"Test.java:{position}: error: nesting too deep"]
+    source = nested("A", 150) + nested("B", 150) + nested("C", deepest)
     unit, diagnostics = _parse(source, strict=False)
     assert [cls.name for cls in unit.classes] == ["C"]
     assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
@@ -466,6 +483,23 @@ def test_unclosed_skipped_declaration_at_the_end_of_file():
         skipped,
         "Test.java:1:22: warning: unexpected end of file in skipped declaration, found end of file"
         " (skipping to next top-level declaration)",
+    ]
+
+
+# Spelled out, not read from the parser: every keyword that opens no statement.
+_NO_STATEMENT_KEYWORDS = """
+    abstract case catch class default else enum extends finally implements import
+    instanceof interface native package private protected public static strictfp
+    switch synchronized throws transient try void volatile
+""".split()
+
+
+@pytest.mark.parametrize("keyword", _NO_STATEMENT_KEYWORDS)
+def test_a_keyword_that_opens_no_statement_is_reported_at_its_token(keyword):
+    unit, diagnostics = _parse(f"class A {{ void m() {{ {keyword} }} }}")
+    assert unit is None
+    assert [str(d) for d in diagnostics] == [
+        f"Test.java:1:22: error: unsupported statement {keyword!r}, found {keyword!r}"
     ]
 
 
