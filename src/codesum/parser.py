@@ -514,9 +514,9 @@ class _Parser:
         self._expect_text(";", f"after {keyword!r}")
 
     def _parse_final_declaration(self) -> None:
-        if not self._looks_like_local_declaration(self.pos + 1):
-            raise self._fail("expected declaration after 'final'")
         self._advance()
+        if not self._looks_like_local_declaration(self.pos):
+            raise self._fail("expected declaration after 'final'")
         self._parse_local_declaration()
 
     def _parse_expression_statement(self) -> None:

@@ -504,10 +504,10 @@ def test_a_keyword_that_opens_no_statement_is_reported_at_its_token(keyword):
 
 
 def test_final_without_a_declaration_in_a_body():
-    # The problem is reported at 'final' itself, not at the token after it.
+    # The problem is reported at the token after 'final', where a declaration should start.
     unit, diagnostics = _parse("class A { void m() { final x; } }")
     assert unit is None
-    assert [str(d) for d in diagnostics] == ["Test.java:1:22: error: expected declaration after 'final', found 'final'"]
+    assert [str(d) for d in diagnostics] == ["Test.java:1:28: error: expected declaration after 'final', found 'x'"]
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -601,9 +601,10 @@ def test_truncated_fixture_input_parses_as_recorded():
     assert _model_digest(_truncation_corpus()) == _TRUNCATION_MODEL_DIGEST
 
 
-# sha256 of ``_model_digest`` over ``_mutation_corpus()``, recorded before
-# method bodies were parsed straight into dependency events.
-_MUTATION_MODEL_DIGEST = "3707abe117e2ca6638f9a92ba5474208f11620ef09ece0bb0fc3ce8e5b8fbccf"
+# sha256 of ``_model_digest`` over ``_mutation_corpus()``, recorded when a
+# body-level ``final`` without a declaration came to be reported at the token
+# after it; two mutants' diagnostics name that token.
+_MUTATION_MODEL_DIGEST = "a9e7930e54774f130c61eb7d6ebead0c750222dfd0bab7a80e0a1240fcf4c3a6"
 
 
 def test_token_mutations_build_as_recorded():
