@@ -383,8 +383,9 @@ def test_type_operand_takes_no_tighter_operator(expression, message):
     assert [str(d) for d in diagnostics] == [f"Test.java:{message}"]
 
 
-def _nested_parentheses(name: str, depth: int) -> str:
-    return f"class {name} {{ void m() {{ int v = {'(' * depth}x{')' * depth}; }} }}\n"
+def _nested(name: str, shape: str, depth: int) -> str:
+    """A class whose method body holds ``DEEP_SHAPES[shape]`` nested ``depth`` deep."""
+    return f"class {name} {{ void m() {{ {DEEP_SHAPES[shape](depth)} }} }}\n"
 
 
 # Each shape's deepest nesting in a method body, and where one level more
@@ -392,28 +393,25 @@ def _nested_parentheses(name: str, depth: int) -> str:
 # statements and expressions around them: an if's innermost statement and its
 # expression, an initializer's declaration. Each parenthesis or call takes one
 # level more than the statement and its initializer.
-@pytest.mark.parametrize(
-    "shape, deepest, position",
-    [
-        ("blocks", _MAX_NESTING, "1:122"),
-        ("ifs", _MAX_NESTING - 2, "1:715"),
-        ("array-initializers", _MAX_NESTING - 1, "1:132"),
-        ("parentheses", _MAX_NESTING - 2, "1:129"),
-        ("calls", _MAX_NESTING - 2, "1:228"),
-    ],
-)
-def test_nesting_limit_is_exact_and_restored_after_recovery(shape, deepest, position):
-    def nested(name: str, depth: int) -> str:
-        return f"class {name} {{ void m() {{ {DEEP_SHAPES[shape](depth)} }} }}\n"
+_NESTING_LIMITS = {
+    "blocks": (_MAX_NESTING, "1:122"),
+    "ifs": (_MAX_NESTING - 2, "1:715"),
+    "array-initializers": (_MAX_NESTING - 1, "1:132"),
+    "parentheses": (_MAX_NESTING - 2, "1:129"),
+    "calls": (_MAX_NESTING - 2, "1:228"),
+}
 
-    assert _parse(nested("A", deepest))[1] == []
-    unit, diagnostics = _parse(nested("A", deepest + 1))
-    assert unit is None
-    assert [str(d) for d in diagnostics] == [f"Test.java:{position}: error: nesting too deep"]
-    source = nested("A", 150) + nested("B", 150) + nested("C", deepest)
-    unit, diagnostics = _parse(source, strict=False)
-    assert [cls.name for cls in unit.classes] == ["C"]
-    assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
+
+def test_nesting_limit_is_exact_and_restored_after_recovery():
+    for shape, (deepest, position) in _NESTING_LIMITS.items():
+        assert _parse(_nested("A", shape, deepest))[1] == [], shape
+        unit, diagnostics = _parse(_nested("A", shape, deepest + 1))
+        assert unit is None, shape
+        assert [str(d) for d in diagnostics] == [f"Test.java:{position}: error: nesting too deep"], shape
+        source = _nested("A", shape, 150) + _nested("B", shape, 150) + _nested("C", shape, deepest)
+        unit, diagnostics = _parse(source, strict=False)
+        assert [cls.name for cls in unit.classes] == ["C"], shape
+        assert [d.message for d in diagnostics] == ["nesting too deep (skipping to next top-level declaration)"] * 2
 
 
 # Ten binary operators, each binding tighter than the one before: ten levels.
@@ -439,7 +437,7 @@ def test_binary_operators_binding_tighter_count_one_level_each():
 
 def test_operator_levels_open_at_a_failure_are_released():
     broken = _in_method("int v = " + _RISING_CHAIN.removesuffix("k"))
-    unit, diagnostics = _parse(broken + " " + _nested_parentheses("C", _MAX_NESTING - 2), strict=False)
+    unit, diagnostics = _parse(broken + " " + _nested("C", "parentheses", _MAX_NESTING - 2), strict=False)
     assert [cls.name for cls in unit.classes] == ["C"]
     assert [str(d) for d in diagnostics] == [
         "Test.java:1:74: warning: expected expression, found ';' (skipping to next top-level declaration)"
