@@ -569,10 +569,10 @@ class _Parser:
         self._expect_text("(", "after 'for'")
 
         if not self._match(";"):
+            final = self._match("final")
             is_declaration = self._looks_like_local_declaration(self.pos)
-            if self._check("final") and self._looks_like_local_declaration(self.pos + 1):
-                self._advance()
-                is_declaration = True
+            if final and not is_declaration:
+                raise self._fail("expected declaration after 'final'")
             if is_declaration:
                 type_text = self._parse_type("in for initializer")
                 name = self._expect_identifier("in for initializer")

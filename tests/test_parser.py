@@ -502,10 +502,14 @@ def test_a_keyword_that_opens_no_statement_is_reported_at_its_token(keyword):
 
 
 def test_final_without_a_declaration_in_a_body():
-    # The problem is reported at the token after 'final', where a declaration should start.
-    unit, diagnostics = _parse("class A { void m() { final x; } }")
-    assert unit is None
-    assert [str(d) for d in diagnostics] == ["Test.java:1:28: error: expected declaration after 'final', found 'x'"]
+    # The problem is reported at the token after 'final', where a declaration
+    # should start, whether 'final' opens a statement or a for initializer.
+    for body, column in [("final x;", 28), ("for (final x; ;) ;", 33), ("for (final x : xs) ;", 33)]:
+        unit, diagnostics = _parse(f"class A {{ void m() {{ {body} }} }}")
+        assert unit is None, body
+        assert [str(d) for d in diagnostics] == [
+            f"Test.java:1:{column}: error: expected declaration after 'final', found 'x'"
+        ], body
 
 
 @pytest.mark.parametrize("strict", [True, False])
