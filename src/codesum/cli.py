@@ -145,6 +145,7 @@ def _run(config: RunConfig) -> int:
             diagnostics.append(error(f"cannot read model document: {exc}"))
         else:
             model, import_diagnostics = import_xml(text)
+            del text  # the document is not held through summarize, plan and write
             diagnostics.extend(import_diagnostics)
 
     summaries: tuple[SummaryDocument, ...] | None = None

@@ -79,11 +79,14 @@ def plan_emission(summaries: tuple[SummaryDocument, ...], layout: str, out_dir: 
     """
     root = os.path.join(os.fspath(out_dir), "")  # ends in a separator
     if layout == COMBINED:
-        blocks = [
-            f"== {document.subject_kind} {document.subject_path} ==\n{document.body}\n"
-            for document in summaries
-        ]
-        return [(os.path.join(root, "summary.txt"), "\n".join(blocks))]
+        # One join over each document's header, body and separator copies
+        # each body once.
+        parts: list[str] = []
+        for document in summaries:
+            parts += (f"== {document.subject_kind} {document.subject_path} ==\n", document.body, "\n\n")
+        if parts:
+            parts[-1] = "\n"
+        return [(os.path.join(root, "summary.txt"), "".join(parts))]
 
     if layout != PER_IDENTIFIER:
         raise ValueError(f"unknown layout {layout!r}")

@@ -8,8 +8,10 @@ and import reads from it and derives from it which attributes and elements
 are known. Attribute order is fixed, indentation is two spaces, container
 elements are always present even when empty, and an absent superclass is
 written as an empty attribute value, so exporting the same model twice
-yields identical bytes. Import reads expat's element events, building each
-record when its element ends, and holds no element tree.
+yields identical bytes. Export builds the document once, from its list of
+lines. Import reads expat's element events and holds no element tree: it
+builds each leaf record at its start event and any other record when its
+element ends, and keeps one string per distinct attribute value.
 """
 
 from __future__ import annotations
@@ -125,11 +127,14 @@ def export_xml(model: CodeModel) -> str:
     """Serialize a model that has already been validated.
 
     A model enters the system through ``build_model`` or ``import_xml``,
-    which both validate it, so the model is not checked again here.
+    which both validate it, so the model is not checked again here. The
+    document is joined once from its lines, the last of them empty for the
+    final newline, so no second copy of it is made.
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     _emit(lines, _PROJECT, model, "")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _emit(lines: list[str], entry: _Entry, record: object, indent: str) -> None:
@@ -183,107 +188,133 @@ def _universal(name: str) -> str:
 
 
 class _Frame:
-    """An open element: its entry and attributes, each container's records
-    (None until it is seen), the open container's index, and the warnings
-    as ``(section, message)``."""
+    """An open record with containers: its entry and attribute values, each
+    container's records (None until it is seen), the open container's
+    index, and the warnings as ``(section, message)``."""
 
-    __slots__ = ("entry", "attributes", "records", "open", "mark", "declared", "messages")
+    __slots__ = ("entry", "values", "records", "open", "mark", "declared", "messages")
 
-    def __init__(self, entry: _Entry, attributes: dict[str, str]):
-        self.entry, self.attributes, self.open, self.messages = entry, attributes, None, []
+    def __init__(self, entry: _Entry, values: list):
+        self.entry, self.values, self.open, self.messages = entry, values, None, []
         self.records: list[list | None] = [None] * len(entry.containers)
-
-
-def _build(frame: _Frame) -> object:
-    """The record of a closed element; an unknown access level warns last."""
-    entry, records = frame.entry, [records or () for records in frame.records]
-    values = list(map(frame.attributes.get, entry.names, entry.defaults))
-    if entry.access is not None:
-        value = values[entry.access]
-        if value not in _ACCESS_BY_VALUE:
-            message = f"unknown access level {value!r} on <{entry.tag}>, using package-private"
-            frame.messages.append((1 + 3 * len(records), message))
-        values[entry.access] = _ACCESS_BY_VALUE.get(value, AccessLevel.PACKAGE_PRIVATE)
-    if entry.superclass is not None:
-        values[entry.superclass] = values[entry.superclass] or None
-    return entry.build(*values, *records)
 
 
 def _read(text: str) -> tuple[str, CodeModel | None, list[str]]:
     """The root element's name, the model (None under another root) and its
     warnings, from expat's element events; no element tree is kept.
 
+    A leaf (a record without containers) is built at its start event; any
+    other record when its element ends. Every attribute value passes through
+    one table first, so equal values share one string.
+
     Warnings keep the order of reading one element whole: its attributes'
     and its unknown and duplicate children's (section 0); per container
     ``i``, the attribute and unknown-element warnings of its instances and
     items (``1 + 3 * i``), the items' own warnings (``2 + 3 * i``) and the
     parameter count (``3 + 3 * i``); its access level last. A frame sorts
-    its warnings by section at the end event and hands them to its owner.
+    its warnings by section at the end event and hands them to its owner; a
+    leaf's unknown children and then its access level reach its owner at
+    section ``2 + 3 * i`` as they are read.
     """
     stack: list[_Frame] = []
+    frame: _Frame | None = None  # the innermost open record with containers
+    item: _Entry | None = None  # the item entry of its open container
+    records: list | None = None  # and that container's records
+    leaf: str | None = None  # while a leaf is open: its access-level warning, or ""
     skipping = 0  # depth inside an ignored element
     root, model, messages = "", None, []
+    share = {}.setdefault  # one string per distinct attribute value
 
     def start(name: str, attributes: dict[str, str]) -> None:
-        nonlocal skipping, root
+        nonlocal skipping, root, frame, item, records, leaf
         if skipping:
             skipping += 1
             return
-        if not stack:
+        if leaf is not None:  # a leaf's child: the leaf's own warning
+            message = f"unknown element <{_universal(name)}> under <{item.tag}> (ignored)"
+            frame.messages.append((2 + 3 * frame.open, message))
+            skipping = 1
+            return
+        owner = frame
+        if item is not None and name == item.tag:
+            entry, known, section = item, item.known_attributes, 1 + 3 * frame.open
+        elif frame is None:
             root = _universal(name)
             if name != _PROJECT.tag:
                 skipping = 1
                 return
-            frame, known, section = _Frame(_PROJECT, attributes), _PROJECT.known_attributes, 0
-            stack.append(frame)
-        else:
-            frame = stack[-1]
-            entry, index = frame.entry, frame.open
-            if index is None and name in entry.children:
-                index, known = entry.children[name]
-                if frame.records[index] is None:
-                    frame.records[index] = []
-                else:
-                    frame.messages.append((0, f"duplicate <{name}> under <{entry.tag}> (merged)"))
-                frame.open, frame.mark = index, len(frame.records[index])
-                frame.declared = attributes.get(_COUNT_ATTRIBUTE) if _COUNT_ATTRIBUTE in known else None
-            elif index is not None and name == entry.containers[index][2].tag:
-                known = entry.containers[index][2].known_attributes
-                stack.append(_Frame(entry.containers[index][2], attributes))
+            entry, known, section = _PROJECT, _PROJECT.known_attributes, 0
+        elif item is None and name in frame.entry.children:
+            index, known = frame.entry.children[name]
+            if frame.records[index] is None:
+                frame.records[index] = []
             else:
-                section, parent = (0, entry.tag) if index is None else (1 + 3 * index, entry.containers[index][0])
-                frame.messages.append((section, f"unknown element <{_universal(name)}> under <{parent}> (ignored)"))
-                skipping = 1
-                return
-            section = 1 + 3 * index
+                frame.messages.append((0, f"duplicate <{name}> under <{frame.entry.tag}> (merged)"))
+            item, records = frame.entry.containers[index][2], frame.records[index]
+            frame.open, frame.mark = index, len(records)
+            frame.declared = attributes.get(_COUNT_ATTRIBUTE) if _COUNT_ATTRIBUTE in known else None
+            entry, section = None, 1 + 3 * index
+        else:
+            if item is None:
+                section, parent = 0, frame.entry.tag
+            else:
+                section, parent = 1 + 3 * frame.open, frame.entry.containers[frame.open][0]
+            frame.messages.append((section, f"unknown element <{_universal(name)}> under <{parent}> (ignored)"))
+            skipping = 1
+            return
+        if entry is not None:
+            values = [share(value, value) for value in map(attributes.get, entry.names, entry.defaults)]
+            access = ""
+            if entry.access is not None:
+                value = values[entry.access]
+                if value not in _ACCESS_BY_VALUE:
+                    access = f"unknown access level {value!r} on <{entry.tag}>, using package-private"
+                values[entry.access] = _ACCESS_BY_VALUE.get(value, AccessLevel.PACKAGE_PRIVATE)
+            if entry.superclass is not None:
+                values[entry.superclass] = values[entry.superclass] or None
+            if entry.containers:
+                frame, item, records = _Frame(entry, values), None, None
+                stack.append(frame)
+                if access:
+                    frame.messages.append((1 + 3 * len(entry.containers), access))
+                owner = owner or frame  # the root warns itself
+            else:
+                records.append(entry.build(*values))
+                leaf = access
         if not known.issuperset(attributes):
             for key in attributes:
                 if key not in known:
-                    frame.messages.append((section, f"unknown attribute {_universal(key)!r} on <{name}> (ignored)"))
+                    owner.messages.append((section, f"unknown attribute {_universal(key)!r} on <{name}> (ignored)"))
 
     def end(name: str) -> None:
-        nonlocal skipping, model, messages
+        nonlocal skipping, model, messages, frame, item, records, leaf
         if skipping:
             skipping -= 1
             return
-        frame = stack[-1]
-        index = frame.open
-        if index is not None:  # the open container ends
-            frame.open, count = None, len(frame.records[index]) - frame.mark
+        if leaf is not None:
+            if leaf:
+                frame.messages.append((2 + 3 * frame.open, leaf))
+            leaf = None
+            return
+        if item is not None:  # the open container ends
+            index, count = frame.open, len(records) - frame.mark
             if frame.declared not in (None, str(count)):
-                tag = frame.entry.containers[index][2].tag
-                message = f"{_COUNT_ATTRIBUTE}={frame.declared!r} disagrees with {count} {tag} elements"
+                message = f"{_COUNT_ATTRIBUTE}={frame.declared!r} disagrees with {count} {item.tag} elements"
                 frame.messages.append((3 + 3 * index, f"{message}; using the element count"))
+            frame.open, item, records = None, None, None
             return
         stack.pop()
-        record = _build(frame)
+        record = frame.entry.build(*frame.values, *[found or () for found in frame.records])
         if not stack:
             model, messages = record, [message for _, message in sorted(frame.messages, key=_section)]
             return
         owner = stack[-1]
-        owner.records[owner.open].append(record)
+        index = owner.open
+        item, records = owner.entry.containers[index][2], owner.records[index]
+        records.append(record)
         if frame.messages:
-            owner.messages += [(2 + 3 * owner.open, text) for _, text in sorted(frame.messages, key=_section)]
+            owner.messages += [(2 + 3 * index, text) for _, text in sorted(frame.messages, key=_section)]
+        frame = owner
 
     def doctype(*_: object) -> None:
         # Expat leaves references to entities a DTD may define to the default

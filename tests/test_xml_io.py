@@ -130,6 +130,22 @@ def test_randomized_models_round_trip():
         assert export_xml(restored) == text
 
 
+def test_equal_values_in_different_containers_are_one_object():
+    # Values longer than one character, which the interpreter does not cache.
+    text = FULL_DOC.replace('"C"', '"Cart"').replace('"int"', '"long"')
+    model, diagnostics = import_xml(text)
+    assert diagnostics == []
+    cls = model.packages[0].classes[0]
+    method = cls.methods[0]
+    assert cls.name == "Cart" and cls.name is method.declared_class
+    types = [
+        cls.attributes[0].declared_type,
+        method.parameters[0].declared_type,
+        method.attribute_accesses[0].resolved_type,
+    ]
+    assert types == ["long"] * 3 and types[0] is types[1] is types[2]
+
+
 def test_superclass_attribute_round_trips_none_and_names():
     base = ClassDecl(name="B", access_level=AccessLevel.PUBLIC, declared_package="p")
     child = ClassDecl(name="C", access_level=AccessLevel.PUBLIC, declared_package="p", superclass="B")
