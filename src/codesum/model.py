@@ -159,61 +159,62 @@ def validate_model(model: CodeModel) -> list[Diagnostic]:
     def complain(path: str, message: str) -> None:
         problems.append(error(f"{path}: {message}"))
 
+    # Each record is unpacked once: a named tuple's attribute lookup is slower.
     seen_packages: set[str] = set()
-    for pkg in model.packages:
-        if pkg.name in seen_packages:
-            complain(pkg.name, "duplicate package name")
-        seen_packages.add(pkg.name)
+    for package, classes in model.packages:
+        if package in seen_packages:
+            complain(package, "duplicate package name")
+        seen_packages.add(package)
 
         seen_classes: set[str] = set()
-        for cls in pkg.classes:
-            path = f"{pkg.name}.{cls.name}"
-            if not cls.name:
-                complain(pkg.name, "class with empty name")
-            if cls.name in seen_classes:
+        for name, _, declared_package, superclass, attributes, methods in classes:
+            path = f"{package}.{name}"
+            if not name:
+                complain(package, "class with empty name")
+            if name in seen_classes:
                 complain(path, "duplicate class name within package")
-            seen_classes.add(cls.name)
-            if cls.declared_package != pkg.name:
-                complain(path, f"declared package {cls.declared_package!r} does not match enclosing package")
-            if cls.superclass is not None:
-                if not cls.superclass:
+            seen_classes.add(name)
+            if declared_package != package:
+                complain(path, f"declared package {declared_package!r} does not match enclosing package")
+            if superclass is not None:
+                if not superclass:
                     complain(path, "superclass name is empty")
-                elif cls.superclass == cls.name:
+                elif superclass == name:
                     complain(path, "class cannot inherit from itself")
 
             seen_attributes: set[str] = set()
-            for attr in cls.attributes:
-                if not attr.name:
+            for attribute, _, declared_type in attributes:
+                if not attribute:
                     complain(path, "attribute with empty name")
-                if not attr.declared_type:
-                    complain(f"{path}.{attr.name}", "attribute with empty type")
-                if attr.name in seen_attributes:
-                    complain(f"{path}.{attr.name}", "duplicate attribute name within class")
-                seen_attributes.add(attr.name)
+                if not declared_type:
+                    complain(f"{path}.{attribute}", "attribute with empty type")
+                if attribute in seen_attributes:
+                    complain(f"{path}.{attribute}", "duplicate attribute name within class")
+                seen_attributes.add(attribute)
 
-            for method in cls.methods:
-                mpath = f"{path}.{method.name}"
-                if not method.name:
+            for method, _, return_type, declared_class, parameters, local_variables, accesses, invocations in methods:
+                mpath = f"{path}.{method}"
+                if not method:
                     complain(path, "method with empty name")
-                if not method.return_type:
+                if not return_type:
                     complain(mpath, "method with empty return type")
-                if method.declared_class != cls.name:
-                    complain(mpath, f"declared class {method.declared_class!r} does not match enclosing class")
-                for param in method.parameters:
-                    if not param.name or not param.declared_type:
+                if declared_class != name:
+                    complain(mpath, f"declared class {declared_class!r} does not match enclosing class")
+                for parameter, declared_type in parameters:
+                    if not parameter or not declared_type:
                         complain(mpath, "parameter with empty name or type")
-                for local in method.local_variables:
-                    if not local.name or not local.declared_type:
+                for local, declared_type in local_variables:
+                    if not local or not declared_type:
                         complain(mpath, "local variable with empty name or type")
                 seen_accesses: set[str] = set()
-                for access in method.attribute_accesses:
-                    if not access.name:
+                for access, _ in accesses:
+                    if not access:
                         complain(mpath, "attribute access with empty name")
-                    if access.name in seen_accesses:
-                        complain(mpath, f"duplicate attribute access {access.name!r}")
-                    seen_accesses.add(access.name)
-                for invocation in method.method_invocations:
-                    if not invocation.name:
+                    if access in seen_accesses:
+                        complain(mpath, f"duplicate attribute access {access!r}")
+                    seen_accesses.add(access)
+                for invocation, _ in invocations:
+                    if not invocation:
                         complain(mpath, "method invocation with empty name")
 
     return problems
