@@ -6,7 +6,7 @@ per class and per method from that model.
 """
 
 from .diagnostics import Diagnostic, Severity
-from .emitter import SummaryDocument, aggregate, summarize_project
+from .emitter import SummaryDocument, summarize_project
 from .extractor import build_model, parse_project
 from .model import (
     AccessLevel,
@@ -22,11 +22,9 @@ from .model import (
     validate_model,
 )
 from .summarizer import (
-    MessageKind,
-    RapidSummaryMessage,
     RenderingConfig,
-    class_messages,
-    method_messages,
+    class_sentences,
+    method_sentences,
     render_identifier,
     render_name_list,
     render_type,
@@ -43,21 +41,18 @@ __all__ = [
     "CodeModel",
     "Diagnostic",
     "LocalVariableDecl",
-    "MessageKind",
     "MethodDecl",
     "MethodInvocation",
     "PackageDecl",
     "ParameterDecl",
-    "RapidSummaryMessage",
     "RenderingConfig",
     "Severity",
     "SummaryDocument",
-    "aggregate",
     "build_model",
-    "class_messages",
+    "class_sentences",
     "export_xml",
     "import_xml",
-    "method_messages",
+    "method_sentences",
     "parse_project",
     "render_identifier",
     "render_name_list",

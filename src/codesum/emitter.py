@@ -1,4 +1,5 @@
-"""Aggregates messages into one-paragraph documents and writes them out.
+"""Joins each subject's sentences into a one-paragraph document and writes
+the documents out.
 
 Two layouts are supported: ``combined`` writes every paragraph into
 ``summary.txt`` with a header line per subject, ``per-identifier`` writes one
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .model import CodeModel
-from .summarizer import RapidSummaryMessage, RenderingConfig, class_messages, method_messages
+from .summarizer import RenderingConfig, class_sentences, method_sentences
 
 COMBINED = "combined"
 PER_IDENTIFIER = "per-identifier"
@@ -28,7 +29,7 @@ _ENCODE_SLICE = 64 * 1024
 
 
 class SummaryDocument(NamedTuple):
-    """One subject's aggregated paragraph."""
+    """One subject's paragraph."""
 
     subject_kind: str  # "class" or "method"
     package: str
@@ -45,25 +46,20 @@ class SummaryDocument(NamedTuple):
         return path
 
 
-def aggregate(messages: list[RapidSummaryMessage]) -> str:
-    """Join message texts into one paragraph with single spaces."""
-    if not messages:
-        raise ValueError("cannot aggregate an empty message list")
-    return " ".join(message.text for message in messages)
-
-
 def summarize_project(model: CodeModel, config: RenderingConfig) -> tuple[SummaryDocument, ...]:
     """One document per class and per method, in model traversal order: each
     class first, then its methods."""
     documents: list[SummaryDocument] = []
     for package in model.packages:
+        package_name = package.name
         for cls in package.classes:
-            body = aggregate(class_messages(cls, config))
-            documents.append(SummaryDocument("class", package.name, cls.name, None, (), body))
+            class_name = cls.name
+            body = " ".join(class_sentences(cls, config))
+            documents.append(SummaryDocument("class", package_name, class_name, None, (), body))
             for method in cls.methods:
-                parameter_types = tuple([param.declared_type for param in method.parameters])
-                body = aggregate(method_messages(method, config))
-                documents.append(SummaryDocument("method", package.name, cls.name, method.name, parameter_types, body))
+                parameter_types = tuple([declared_type for _, declared_type in method.parameters])
+                body = " ".join(method_sentences(method, config))
+                documents.append(SummaryDocument("method", package_name, class_name, method.name, parameter_types, body))
     return tuple(documents)
 
 
@@ -127,8 +123,9 @@ def write_plan(planned: list[tuple[str, str]]) -> list[str]:
        symbolic link fails as missing. Whatever the operating system would
        refuse (a file where a directory goes, a directory where a file goes,
        a missing permission) fails here, before any byte is written.
-    3. Each file is written over its old bytes and then cut to the new
-       length, so a rerun updates every file's mtime.
+    3. Each file is written over its old bytes, and cut to the new length
+       only when it was longer. A write, or for an empty file the cut,
+       updates every file's mtime on a rerun.
 
     A failure in step 1 or 2 leaves the tree as it was: the files step 2
     created and the directories step 1 made are removed, innermost first,
@@ -167,7 +164,8 @@ def write_plan(planned: list[tuple[str, str]]) -> list[str]:
 
 
 def _overwrite(path: str, content: str) -> None:
-    """Write ``content`` over the existing file ``path`` and cut it to length.
+    """Write ``content`` over the existing file ``path`` and cut off any old
+    bytes past its end.
 
     The content is encoded a slice at a time, so a large file never holds
     its whole encoding in memory. An error is raised against ``path``.
@@ -181,7 +179,9 @@ def _overwrite(path: str, content: str) -> None:
                 size += len(data)
                 while data:
                     data = data[os.write(descriptor, data) :]
-            os.ftruncate(descriptor, size)
+            # Only an empty file gets no write, so only the cut updates its mtime.
+            if size == 0 or os.fstat(descriptor).st_size > size:
+                os.ftruncate(descriptor, size)
         finally:
             os.close(descriptor)
     except OSError as exc:

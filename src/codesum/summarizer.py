@@ -1,46 +1,21 @@
-"""Template-based English messages for classes and methods.
+"""Template-based English sentences about classes and methods.
 
-Each message is one fact about the subject rendered as a full sentence.
-Classes get up to six kinds (name, access level, package, inheritance,
-attributes, methods); methods get up to eight (name, access level, return
-type, class, parameters, local variables, attribute accesses, invocations).
-List-valued kinds are omitted entirely when their source collection is
-empty; the others always appear, in the fixed order above.
+Each sentence states one fact about its subject. A class gets up to six
+(name, access level, package, inheritance, attributes, methods); a method
+gets up to nine (name, access level, return type, class, parameter count,
+parameters, local variables, attribute accesses, invocations). Inheritance
+is left out when the class has no superclass, and each list-valued fact
+when its list is empty; the others always appear, in the fixed order above.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .model import ClassDecl, MethodDecl
-
-
-class MessageKind(Enum):
-    CLASS_NAME = "class-name"
-    CLASS_ACCESS_LEVEL = "class-access-level"
-    CLASS_PACKAGE = "class-package"
-    CLASS_INHERITANCE = "class-inheritance"
-    CLASS_ATTRIBUTE = "class-attribute"
-    CLASS_METHOD = "class-method"
-    METHOD_NAME = "method-name"
-    METHOD_ACCESS_LEVEL = "method-access-level"
-    METHOD_RETURN_TYPE = "method-return-type"
-    METHOD_CLASS = "method-class"
-    METHOD_PARAMETER = "method-parameter"
-    METHOD_VARIABLE = "method-variable"
-    METHOD_ACCESS = "method-access"
-    METHOD_INVOCATION = "method-invocation"
-
-
-class RapidSummaryMessage(NamedTuple):
-    """One rendered fact; ``text`` is one or more sentences ending with '.'."""
-
-    kind: MessageKind
-    text: str
 
 
 class RenderingConfig(NamedTuple):
@@ -86,86 +61,52 @@ def _listing(head: str, items: list[str]) -> str:
     return f"{head}s: {render_name_list(items)}."
 
 
-def class_messages(cls: ClassDecl, config: RenderingConfig) -> list[RapidSummaryMessage]:
-    """The class's messages, in fixed kind order."""
-    messages = [
-        RapidSummaryMessage(
-            MessageKind.CLASS_NAME,
-            f"The name of this class is {render_identifier(cls.name, config)}.",
-        ),
-        RapidSummaryMessage(
-            MessageKind.CLASS_ACCESS_LEVEL,
-            f"The access level for this class is {cls.access_level.value}.",
-        ),
-        RapidSummaryMessage(
-            MessageKind.CLASS_PACKAGE,
-            f"The package to which this class belongs is {cls.declared_package}.",
-        ),
+def class_sentences(cls: ClassDecl, config: RenderingConfig) -> list[str]:
+    """The class's sentences, in fixed order."""
+    name, access_level, package, superclass, attributes, methods = cls
+    sentences = [
+        f"The name of this class is {render_identifier(name, config)}.",
+        f"The access level for this class is {access_level.value}.",
+        f"The package to which this class belongs is {package}.",
     ]
-    if cls.superclass is not None:
-        messages.append(
-            RapidSummaryMessage(
-                MessageKind.CLASS_INHERITANCE,
-                f"This class inherits from the {render_identifier(cls.superclass, config)} class.",
-            )
-        )
-    if cls.attributes:
-        names = [render_identifier(attr.name, config) for attr in cls.attributes]
-        listing = _listing("This class contains the following attribute", names)
-        messages.append(RapidSummaryMessage(MessageKind.CLASS_ATTRIBUTE, listing))
-    if cls.methods:
-        names = [render_identifier(method.name, config) for method in cls.methods]
-        listing = _listing("This class contains the following method", names)
-        messages.append(RapidSummaryMessage(MessageKind.CLASS_METHOD, listing))
-    return messages
+    if superclass is not None:
+        sentences.append(f"This class inherits from the {render_identifier(superclass, config)} class.")
+    if attributes:
+        names = [render_identifier(attribute, config) for attribute, _, _ in attributes]
+        sentences.append(_listing("This class contains the following attribute", names))
+    if methods:
+        names = [render_identifier(method.name, config) for method in methods]
+        sentences.append(_listing("This class contains the following method", names))
+    return sentences
 
 
-def method_messages(method: MethodDecl, config: RenderingConfig) -> list[RapidSummaryMessage]:
-    """The method's messages, in fixed kind order."""
-    messages = [
-        RapidSummaryMessage(
-            MessageKind.METHOD_NAME,
-            f"The name of this method is {render_identifier(method.name, config)}.",
-        ),
-        RapidSummaryMessage(
-            MessageKind.METHOD_ACCESS_LEVEL,
-            f"The access level for this method is {method.access_level.value}.",
-        ),
-        RapidSummaryMessage(
-            MessageKind.METHOD_RETURN_TYPE,
-            f"The return data type for this method is {render_type(method.return_type, config)}.",
-        ),
-        RapidSummaryMessage(
-            MessageKind.METHOD_CLASS,
-            f"The class to which this method belongs is {render_identifier(method.declared_class, config)}.",
-        ),
+def method_sentences(method: MethodDecl, config: RenderingConfig) -> list[str]:
+    """The method's sentences, in fixed order."""
+    name, access_level, return_type, declared_class, parameters, local_variables, accesses, invocations = method
+    sentences = [
+        f"The name of this method is {render_identifier(name, config)}.",
+        f"The access level for this method is {access_level.value}.",
+        f"The return data type for this method is {render_type(return_type, config)}.",
+        f"The class to which this method belongs is {render_identifier(declared_class, config)}.",
     ]
-    if method.parameters:
-        count = len(method.parameters)
-        count_sentence = f"This method contains {count} parameter{'s' if count > 1 else ''}."
+    if parameters:
+        count = len(parameters)
+        sentences.append(f"This method contains {count} parameter{'s' if count > 1 else ''}.")
         clauses = [
-            f"{render_identifier(param.name, config)} and its data type is "
-            f"{render_type(param.declared_type, config)}"
-            for param in method.parameters
+            f"{render_identifier(param, config)} and its data type is {render_type(declared_type, config)}"
+            for param, declared_type in parameters
         ]
-        enumeration = _listing("This method consists of the following parameter", clauses)
-        messages.append(
-            RapidSummaryMessage(MessageKind.METHOD_PARAMETER, f"{count_sentence} {enumeration}")
-        )
-    if method.local_variables:
+        sentences.append(_listing("This method consists of the following parameter", clauses))
+    if local_variables:
         clauses = [
-            f"{render_identifier(local.name, config)} and its data type is "
-            f"{render_type(local.declared_type, config)}"
-            for local in method.local_variables
+            f"{render_identifier(local, config)} and its data type is {render_type(declared_type, config)}"
+            for local, declared_type in local_variables
         ]
-        listing = _listing("This method contains the following local variable", clauses)
-        messages.append(RapidSummaryMessage(MessageKind.METHOD_VARIABLE, listing))
-    if method.attribute_accesses:
-        names = [render_identifier(access.name, config) for access in method.attribute_accesses]
-        listing = _listing("This method accesses the following attribute", names)
-        messages.append(RapidSummaryMessage(MessageKind.METHOD_ACCESS, listing))
-    if method.method_invocations:
-        names = [render_identifier(invocation.name, config) for invocation in method.method_invocations]
-        listing = _listing("This method invokes the following method", names)
-        messages.append(RapidSummaryMessage(MessageKind.METHOD_INVOCATION, listing))
-    return messages
+        sentences.append(_listing("This method contains the following local variable", clauses))
+    if accesses:
+        names = [render_identifier(access, config) for access, _ in accesses]
+        sentences.append(_listing("This method accesses the following attribute", names))
+    if invocations:
+        names = [render_identifier(invocation, config) for invocation, _ in invocations]
+        sentences.append(_listing("This method invokes the following method", names))
+    return sentences

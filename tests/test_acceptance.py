@@ -9,9 +9,8 @@ from random import Random
 
 from codesum import cli
 from codesum.diagnostics import has_errors
-from codesum.emitter import aggregate
 from codesum.extractor import parse_project
-from codesum.summarizer import RenderingConfig, class_messages, method_messages, render_name_list
+from codesum.summarizer import RenderingConfig, class_sentences, method_sentences, render_name_list
 from codesum.xml_io import export_xml, import_xml
 
 from conftest import FIXTURES, lookup_class
@@ -31,9 +30,9 @@ def test_criterion_1_oval_class_messages_are_exact_and_fast():
     model, diagnostics, _ = parse_project(FIXTURES / "drawing-shapes")
     assert not has_errors(diagnostics)
     cls = lookup_class(model, "coreElements", "MyOval")
-    messages = [m.text for m in class_messages(cls, CONFIG)]
+    sentences = class_sentences(cls, CONFIG)
     elapsed = time.perf_counter() - started
-    assert messages == [
+    assert sentences == [
         "The name of this class is MyOval.",
         "The access level for this class is public.",
         "The package to which this class belongs is coreElements.",
@@ -42,12 +41,12 @@ def test_criterion_1_oval_class_messages_are_exact_and_fast():
         "This class contains the following methods: MyOval and draw.",
     ]
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
-    print(f"criterion 1: PASS - six exact class messages in {elapsed:.3f}s")
+    print(f"criterion 1: PASS - six exact class sentences in {elapsed:.3f}s")
 
 
 def test_criterion_2_entry_point_method_paragraph_is_exact(drawing_shapes_model):
     method = _method(drawing_shapes_model, "mainPackage", "drawingShapes", "main")
-    paragraph = aggregate(method_messages(method, CONFIG))
+    paragraph = " ".join(method_sentences(method, CONFIG))
     assert paragraph == (
         "The name of this method is main. "
         "The access level for this method is public. "
@@ -64,7 +63,7 @@ def test_criterion_2_entry_point_method_paragraph_is_exact(drawing_shapes_model)
 
 def test_criterion_3_line_draw_method_paragraph_is_exact(drawing_shapes_model):
     method = _method(drawing_shapes_model, "coreElements", "MyLine", "draw")
-    paragraph = aggregate(method_messages(method, CONFIG))
+    paragraph = " ".join(method_sentences(method, CONFIG))
     assert paragraph == (
         "The name of this method is draw. "
         "The access level for this method is public. "
@@ -81,7 +80,7 @@ def test_criterion_3_line_draw_method_paragraph_is_exact(drawing_shapes_model):
 
 def test_criterion_4_builder_getter_paragraph_is_exact(nanoxml_model):
     method = _method(nanoxml_model, "net.n3.nanoxml", "StdXMLBuilder", "getResult")
-    paragraph = aggregate(method_messages(method, CONFIG))
+    paragraph = " ".join(method_sentences(method, CONFIG))
     assert paragraph == (
         "The name of this method is getResult. "
         "The access level for this method is public. "
@@ -94,7 +93,7 @@ def test_criterion_4_builder_getter_paragraph_is_exact(nanoxml_model):
 
 def test_criterion_5_status_event_class_paragraph_is_exact(argouml_model):
     cls = lookup_class(argouml_model, "org.argouml.application.events", "ArgoStatusEvent")
-    paragraph = aggregate(class_messages(cls, CONFIG))
+    paragraph = " ".join(class_sentences(cls, CONFIG))
     assert paragraph == (
         "The name of this class is ArgoStatusEvent. "
         "The access level for this class is public. "
@@ -109,8 +108,7 @@ def test_criterion_5_status_event_class_paragraph_is_exact(argouml_model):
 def test_criterion_6_reader_invocation_list_keeps_duplicates_in_order(nanoxml_model):
     method = _method(nanoxml_model, "net.n3.nanoxml", "StdXMLReader", "read")
     assert [i.name for i in method.method_invocations] == ["read", "empty", "close", "pop", "read"]
-    invocation_message = method_messages(method, CONFIG)[-1]
-    assert invocation_message.text == (
+    assert method_sentences(method, CONFIG)[-1] == (
         "This method invokes the following methods: read, empty, close, pop and read."
     )
     print("criterion 6: PASS - duplicated call names survive in source order")

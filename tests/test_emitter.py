@@ -1,4 +1,4 @@
-"""Document aggregation, layouts, file naming, and the writer."""
+"""Documents, layouts, file naming, and the writer."""
 
 import errno
 import os
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from codesum.emitter import COMBINED, PER_IDENTIFIER, aggregate, plan_emission, summarize_project, write_plan
+from codesum.emitter import COMBINED, PER_IDENTIFIER, plan_emission, summarize_project, write_plan
 from codesum.model import (
     AccessLevel,
     ClassDecl,
@@ -15,22 +15,19 @@ from codesum.model import (
     PackageDecl,
     ParameterDecl,
 )
-from codesum.summarizer import RapidSummaryMessage, MessageKind, RenderingConfig
+from codesum.summarizer import RenderingConfig, class_sentences, method_sentences
 
 CONFIG = RenderingConfig()
 
 
-def test_aggregate_joins_with_single_spaces():
-    messages = [
-        RapidSummaryMessage(MessageKind.CLASS_NAME, "First sentence."),
-        RapidSummaryMessage(MessageKind.CLASS_PACKAGE, "Second sentence."),
-    ]
-    assert aggregate(messages) == "First sentence. Second sentence."
-
-
-def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValueError):
-        aggregate([])
+def test_each_body_joins_its_sentences_with_single_spaces(drawing_shapes_model):
+    summaries = iter(summarize_project(drawing_shapes_model, CONFIG))
+    for package in drawing_shapes_model.packages:
+        for cls in package.classes:
+            assert next(summaries).body == " ".join(class_sentences(cls, CONFIG))
+            for method in cls.methods:
+                assert next(summaries).body == " ".join(method_sentences(method, CONFIG))
+    assert next(summaries, None) is None
 
 
 def test_documents_follow_model_order_class_then_its_methods(drawing_shapes_model):
@@ -223,6 +220,27 @@ def test_a_longer_target_is_cut_to_length(tmp_path):
     target.write_text("old content that is much longer than the new one\n" * 20, encoding="utf-8")
     write_plan([(target, "new\n")])
     assert target.read_bytes() == b"new\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"old\n", "new content, longer than the old\n"),
+        (b"abcdef\n", "ghijkl\n"),
+        # 9 bytes: more than the new content's 6 characters, fewer than its 11 bytes.
+        (b"x" * 9, "\u00e9" * 5 + "\n"),
+    ],
+    ids=["shorter", "equal-length", "between-characters-and-bytes"],
+)
+def test_a_target_no_longer_than_its_new_content_is_not_cut(tmp_path, monkeypatch, old, new):
+    target = tmp_path / "summary.txt"
+    target.write_bytes(old)
+    cuts = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda descriptor, size: cuts.append(size) or real_ftruncate(descriptor, size))
+    write_plan([(target, new)])
+    assert target.read_bytes() == new.encode("utf-8")
+    assert cuts == []
 
 
 def test_rerunning_over_an_identical_tree_updates_every_mtime(drawing_shapes_model, tmp_path):

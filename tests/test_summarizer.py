@@ -1,4 +1,4 @@
-"""Message templates, list rendering, and display folding."""
+"""Sentence templates, list rendering, and display folding."""
 
 import re
 from random import Random
@@ -16,10 +16,9 @@ from codesum.model import (
     ParameterDecl,
 )
 from codesum.summarizer import (
-    MessageKind,
     RenderingConfig,
-    class_messages,
-    method_messages,
+    class_sentences,
+    method_sentences,
     render_identifier,
     render_name_list,
     render_type,
@@ -122,16 +121,7 @@ def test_class_messages_cover_all_kinds_in_order():
         attributes=(AttributeDecl("x", AccessLevel.PRIVATE, "int"),),
         methods=(_method(), _method(name="n")),
     )
-    messages = class_messages(cls, CONFIG)
-    assert [m.kind for m in messages] == [
-        MessageKind.CLASS_NAME,
-        MessageKind.CLASS_ACCESS_LEVEL,
-        MessageKind.CLASS_PACKAGE,
-        MessageKind.CLASS_INHERITANCE,
-        MessageKind.CLASS_ATTRIBUTE,
-        MessageKind.CLASS_METHOD,
-    ]
-    assert [m.text for m in messages] == [
+    assert class_sentences(cls, CONFIG) == [
         "The name of this class is C.",
         "The access level for this class is public.",
         "The package to which this class belongs is p.",
@@ -142,17 +132,16 @@ def test_class_messages_cover_all_kinds_in_order():
 
 
 def test_class_messages_omit_empty_list_kinds():
-    messages = class_messages(_class(), CONFIG)
-    assert [m.kind for m in messages] == [
-        MessageKind.CLASS_NAME,
-        MessageKind.CLASS_ACCESS_LEVEL,
-        MessageKind.CLASS_PACKAGE,
+    assert class_sentences(_class(), CONFIG) == [
+        "The name of this class is C.",
+        "The access level for this class is public.",
+        "The package to which this class belongs is p.",
     ]
 
 
 def test_package_private_access_is_spelled_out():
     cls = _class(access_level=AccessLevel.PACKAGE_PRIVATE)
-    assert class_messages(cls, CONFIG)[1].text == "The access level for this class is package-private."
+    assert class_sentences(cls, CONFIG)[1] == "The access level for this class is package-private."
 
 
 def test_method_messages_cover_all_kinds_in_order():
@@ -162,23 +151,13 @@ def test_method_messages_cover_all_kinds_in_order():
         attribute_accesses=(AttributeAccess("x", "int"),),
         method_invocations=(MethodInvocation("f", "C"),),
     )
-    messages = method_messages(method, CONFIG)
-    assert [m.kind for m in messages] == [
-        MessageKind.METHOD_NAME,
-        MessageKind.METHOD_ACCESS_LEVEL,
-        MessageKind.METHOD_RETURN_TYPE,
-        MessageKind.METHOD_CLASS,
-        MessageKind.METHOD_PARAMETER,
-        MessageKind.METHOD_VARIABLE,
-        MessageKind.METHOD_ACCESS,
-        MessageKind.METHOD_INVOCATION,
-    ]
-    assert [m.text for m in messages] == [
+    assert method_sentences(method, CONFIG) == [
         "The name of this method is m.",
         "The access level for this method is public.",
         "The return data type for this method is void.",
         "The class to which this method belongs is C.",
-        "This method contains 1 parameter. This method consists of the following parameter: a and its data type is int.",
+        "This method contains 1 parameter.",
+        "This method consists of the following parameter: a and its data type is int.",
         "This method contains the following local variable: v and its data type is character.",
         "This method accesses the following attribute: x.",
         "This method invokes the following method: f.",
@@ -186,35 +165,33 @@ def test_method_messages_cover_all_kinds_in_order():
 
 
 def test_method_messages_omit_empty_list_kinds():
-    messages = method_messages(_method(), CONFIG)
-    assert [m.kind for m in messages] == [
-        MessageKind.METHOD_NAME,
-        MessageKind.METHOD_ACCESS_LEVEL,
-        MessageKind.METHOD_RETURN_TYPE,
-        MessageKind.METHOD_CLASS,
+    assert method_sentences(_method(), CONFIG) == [
+        "The name of this method is m.",
+        "The access level for this method is public.",
+        "The return data type for this method is void.",
+        "The class to which this method belongs is C.",
     ]
 
 
 def test_parameter_message_count_and_enumeration_agree():
     two = _method(parameters=(ParameterDecl("a", "int"), ParameterDecl("b", "String")))
-    text = method_messages(two, CONFIG)[4].text
-    assert text == (
-        "This method contains 2 parameters. This method consists of the following parameters: "
-        "a and its data type is int and b and its data type is string."
-    )
+    assert method_sentences(two, CONFIG)[4:] == [
+        "This method contains 2 parameters.",
+        "This method consists of the following parameters: a and its data type is int and b and its data type is string.",
+    ]
     three = _method(
         parameters=(ParameterDecl("a", "int"), ParameterDecl("b", "char"), ParameterDecl("c", "Object"))
     )
-    text = method_messages(three, CONFIG)[4].text
-    assert text == (
-        "This method contains 3 parameters. This method consists of the following parameters: "
-        "a and its data type is int, b and its data type is character and c and its data type is object."
-    )
+    assert method_sentences(three, CONFIG)[4:] == [
+        "This method contains 3 parameters.",
+        "This method consists of the following parameters: "
+        "a and its data type is int, b and its data type is character and c and its data type is object.",
+    ]
 
 
 def test_constant_style_names_fold_inside_messages():
     method = _method(attribute_accesses=(AttributeAccess("EXIT_ON_CLOSE", "unknown"),))
-    assert method_messages(method, CONFIG)[-1].text == (
+    assert method_sentences(method, CONFIG)[-1] == (
         "This method accesses the following attribute: exit_on_close."
     )
 
@@ -227,8 +204,7 @@ def test_reader_method_full_paragraph(nanoxml_model):
         if cls.name == "StdXMLReader"
     )
     method = next(m for m in cls.methods if m.name == "read")
-    texts = [m.text for m in method_messages(method, CONFIG)]
-    assert texts == [
+    assert method_sentences(method, CONFIG) == [
         "The name of this method is read.",
         "The access level for this method is public.",
         "The return data type for this method is character.",
@@ -243,9 +219,10 @@ def test_every_message_is_a_sentence(corpus_models):
     for model in corpus_models.values():
         for package in model.packages:
             for cls in package.classes:
-                rendered = class_messages(cls, CONFIG)
+                rendered = class_sentences(cls, CONFIG)
                 for method in cls.methods:
-                    rendered.extend(method_messages(method, CONFIG))
-                for message in rendered:
-                    assert message.text.endswith(".")
-                    assert "\n" not in message.text
+                    rendered.extend(method_sentences(method, CONFIG))
+                for sentence in rendered:
+                    assert sentence.endswith(".")
+                    assert ". " not in sentence
+                    assert "\n" not in sentence
